@@ -1,17 +1,16 @@
-// P2 — parallel runtime scaling (DESIGN.md task-pool section, EXPERIMENTS.md
+// P2 — explorer walk fleets on the task pool (DESIGN.md §9, EXPERIMENTS.md
 // P2).
 //
-// Sweeps BMX_THREADS over the scan-dominated runtime paths the task pool
-// shards: a replica-side BGC (the collecting node owns nothing, so the serial
-// copy phase is empty and tracing/scanning dominates), a group collection
-// over several bunches, and a whole-cluster oracle audit.  The heap is many
-// disjoint linked lists — the wide root forest where per-chunk marking
-// scales — all owned by node 0 and replicated + rooted at node 1.
+// The explorer's walk fleet is the pool's only user: each walk builds and
+// drives its own cluster on one pool thread, and everything inside a walk —
+// GC, reclaim, oracles — runs serially.  This sweeps BMX_THREADS over one
+// fleet shape: random walks of the fig. 1–4 scenarios under the default
+// per-delivery oracle stride (bmx_explore's defaults).
 //
-// The output must be *identical* at every thread count (the determinism
-// sweep pins that); these benchmarks measure only the wall-clock effect.
-// On a single-core host the >1-thread rows measure oversubscription overhead
-// rather than speedup; see EXPERIMENTS.md for interpretation.
+// The exploration result must be *identical* at every thread count (the
+// determinism sweep pins that); this benchmark measures only the wall-clock
+// effect.  On a host with fewer cores than threads the extra rows measure
+// oversubscription rather than speedup; see EXPERIMENTS.md for numbers.
 
 #include <benchmark/benchmark.h>
 
@@ -19,97 +18,37 @@
 
 #include "bench/bench_util.h"
 #include "src/common/task_pool.h"
-#include "src/runtime/oracle.h"
+#include "src/runtime/explorer.h"
+#include "src/runtime/scenarios.h"
 
 namespace bmx {
 namespace {
 
-constexpr size_t kLists = 16;    // disjoint lists per bunch (root-forest width)
-constexpr size_t kListLen = 64;  // objects per list
+constexpr size_t kWalksPerScenario = 64;
 
-// Two nodes: node 0 allocates and owns every list; node 1 replicates every
-// object (read tokens) and roots every list head.  Collections then run at
-// node 1, where no object is locally owned.
-struct P2Rig {
-  explicit P2Rig(size_t bunches) : rig(2) {
-    for (size_t b = 0; b < bunches; ++b) {
-      BunchId bunch = rig.cluster.CreateBunch(0);
-      bunch_ids.push_back(bunch);
-      Mutator& owner = *rig.mutators[0];
-      Mutator& replica = *rig.mutators[1];
-      for (size_t l = 0; l < kLists; ++l) {
-        Gaddr head = kNullAddr;
-        for (size_t i = 0; i < kListLen; ++i) {
-          Gaddr node = owner.Alloc(bunch, 2);
-          owner.WriteRef(node, 0, head);
-          owner.WriteWord(node, 1, i);
-          head = node;
-        }
-        owner.AddRoot(head);
-        for (Gaddr cur = head; cur != kNullAddr;) {
-          replica.AcquireRead(cur);
-          Gaddr next = replica.ReadRef(cur, 0);
-          replica.Release(cur);
-          cur = next;
-        }
-        replica.AddRoot(head);
-      }
+// One fleet: kWalksPerScenario random walks of each fig. 1–4 scenario.
+void P2_ExplorerFleet(benchmark::State& state) {
+  size_t threads = static_cast<size_t>(state.range(0));
+  TaskPool::SetThreadsForTesting(threads);
+  std::vector<ExplorerScenario> scenarios = StandardScenarios();
+  size_t walks = 0;
+  for (auto _ : state) {
+    walks = 0;
+    for (const ExplorerScenario& scenario : scenarios) {
+      ExplorerOptions options;
+      options.num_walks = kWalksPerScenario;
+      options.schedule = ScheduleKind::kRandomWalk;
+      Explorer explorer(options);
+      ExplorationResult result = explorer.Explore(scenario);
+      benchmark::DoNotOptimize(result);
+      walks += result.runs;
     }
-    rig.cluster.Pump();
-  }
-
-  BenchRig rig;
-  std::vector<BunchId> bunch_ids;
-};
-
-// Replica-side BGC of one bunch: empty copy phase, parallel trace / reference
-// update / sweep / table rebuild.
-void P2_BgcReplicaScan(benchmark::State& state) {
-  size_t threads = static_cast<size_t>(state.range(0));
-  TaskPool::SetThreadsForTesting(threads);
-  for (auto _ : state) {
-    state.PauseTiming();  // fresh cluster per collection: no from-space pileup
-    P2Rig p2(1);
-    state.ResumeTiming();
-    p2.rig.cluster.node(1).gc().CollectBunch(p2.bunch_ids[0]);
   }
   TaskPool::SetThreadsForTesting(TaskPool::EnvThreads());
   state.counters["threads"] = static_cast<double>(threads);
-  state.counters["objects"] = static_cast<double>(kLists * kListLen);
+  state.counters["walks"] = static_cast<double>(walks);
 }
-BENCHMARK(P2_BgcReplicaScan)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-
-// Replica-side group collection across four bunches (more segments to shard).
-void P2_GgcGroupScan(benchmark::State& state) {
-  size_t threads = static_cast<size_t>(state.range(0));
-  TaskPool::SetThreadsForTesting(threads);
-  for (auto _ : state) {
-    state.PauseTiming();
-    P2Rig p2(4);
-    state.ResumeTiming();
-    p2.rig.cluster.node(1).gc().CollectGroup();
-  }
-  TaskPool::SetThreadsForTesting(TaskPool::EnvThreads());
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["objects"] = static_cast<double>(4 * kLists * kListLen);
-}
-BENCHMARK(P2_GgcGroupScan)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-
-// Whole-cluster invariant audit (read-only: one rig reused across
-// iterations); per-node checks shard over the pool.
-void P2_OracleAudit(benchmark::State& state) {
-  size_t threads = static_cast<size_t>(state.range(0));
-  TaskPool::SetThreadsForTesting(threads);
-  P2Rig p2(2);
-  InvariantOracle oracle(&p2.rig.cluster);
-  for (auto _ : state) {
-    std::vector<std::string> violations = oracle.Check();
-    benchmark::DoNotOptimize(violations);
-  }
-  TaskPool::SetThreadsForTesting(TaskPool::EnvThreads());
-  state.counters["threads"] = static_cast<double>(threads);
-}
-BENCHMARK(P2_OracleAudit)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(P2_ExplorerFleet)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bmx

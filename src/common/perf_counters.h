@@ -5,14 +5,14 @@
 // what the piggyback coalescer saved on the wire, and what the task pool did.
 //
 // The counters are *per-thread*: a plain `++` on a thread-local is the only
-// instrumentation cost the hot paths can afford, and it stays race-free now
-// that BGC shards, explorer walks and oracle audits run on pool workers.  The
-// TaskPool drains each worker's counters into the submitting thread's at the
-// end of every parallel region, so the totals a bench or test reads on its
-// own thread are complete and independent of the thread count.  (Scheduling-
-// dependent counters — MRU hits, steals — are diagnostics, not part of the
-// determinism contract.)  Benchmarks print them (bench_util.h) and reset them
-// per measurement; tests assert on them.
+// instrumentation cost the hot paths can afford, and it stays race-free when
+// explorer walks run on pool workers (each walk's cluster lives on one
+// thread).  The TaskPool drains each worker's counters into the submitting
+// thread's at the end of every parallel region, so the totals a bench or test
+// reads on its own thread are complete and independent of the thread count.
+// (Scheduling-dependent counters — pool regions, chunks, steals — are
+// diagnostics, not part of the determinism contract.)  Benchmarks print them
+// (bench_util.h) and reset them per measurement; tests assert on them.
 
 #ifndef SRC_COMMON_PERF_COUNTERS_H_
 #define SRC_COMMON_PERF_COUNTERS_H_

@@ -10,9 +10,9 @@ namespace bmx {
 
 namespace {
 
-// Participant state, thread-local so nested ParallelFor calls (a BGC inside a
-// pool-run explorer walk) detect they are already inside a region and run
-// inline.
+// Participant state, thread-local so nested ParallelFor calls (an explorer
+// started from inside a pool task) detect they are already inside a region
+// and run inline.
 thread_local bool tl_in_region = false;
 
 size_t ParseThreads() {

@@ -1,29 +1,26 @@
-// Deterministic work-stealing task pool.
+// Deterministic work-stealing task pool for explorer walk fleets.
 //
-// The paper's central structural claim — the BGC "never acquires a token" and
-// never blocks the consistency protocol — means per-segment scan/copy work,
-// per-seed schedule exploration and per-node invariant audits are independent
-// by design.  This pool exploits that independence without giving up the
-// repo's reproducibility contract: every parallel caller keeps results
-// per-index (or in per-shard buffers merged in submission order), so the
-// output of a parallel region is bit-identical for every thread count and
-// every steal schedule.
+// In the runtime its one user is Explorer::Explore, which runs a batch of
+// independent schedule-exploration walks at a time, one walk per task.  Each
+// walk builds and drives its own cluster, so the rule is "one cluster, one
+// thread": the GC, reclaim, oracle and DSM code a walk runs is serial and
+// never shares state with another thread.  Work inside a collection is not
+// sharded — the paper costs the BGC in messages, not cores, and measured
+// intra-collection sharding lost at every thread count (EXPERIMENTS.md §P2).
 //
 // Determinism contract (pinned by tests/integration/determinism_sweep_test.cc
-// and documented in DESIGN.md):
+// and documented in DESIGN.md §9):
 //   * task bodies draw no RNG and read no wall clock;
 //   * task bodies never write shared state — they fill caller-provided
-//     per-index slots or thread-private buffers;
-//   * merges happen on the submitting thread, in submission order;
-//   * read-mostly fast paths that mutate on reads (forwarding-chain path
-//     compression, the one-entry segment MRU) either become thread-local or
-//     stand down while InParallelRegion() holds.
+//     per-index slots;
+//   * merges happen on the submitting thread, in submission order.
+// The process-wide singletons a walk touches — the perf counters and the
+// fault injector — are per thread, and workers' counters drain into the
+// submitter's at the end of each region.
 //
 // Thread-count knob: BMX_THREADS (default: hardware concurrency).  With one
 // thread the pool never spawns a worker and ParallelFor degenerates to the
-// exact legacy serial loop — zero pool overhead, bit-identical to the
-// pre-pool implementation.  Nested regions (a BGC inside an explorer walk
-// that is itself a pool task) also run inline on the calling thread.
+// plain serial loop.  Nested regions also run inline on the calling thread.
 
 #ifndef SRC_COMMON_TASK_POOL_H_
 #define SRC_COMMON_TASK_POOL_H_
@@ -62,9 +59,7 @@ class TaskPool {
   static void SetThreadsForTesting(size_t threads);
 
   // True while the calling thread executes a chunk of a multi-threaded
-  // parallel region.  Shared-state fast paths that mutate on reads
-  // (DsmNode::ResolveAddr path compression) stand down while this holds so
-  // concurrent readers stay readers.
+  // parallel region (nested regions use it to run inline).
   static bool InParallelRegion();
 
   explicit TaskPool(size_t threads);

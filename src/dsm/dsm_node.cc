@@ -4,7 +4,6 @@
 
 #include "src/common/check.h"
 #include "src/common/fault_injector.h"
-#include "src/common/task_pool.h"
 #include "src/gc/payloads.h"
 #include "src/runtime/history.h"
 
@@ -52,15 +51,12 @@ Gaddr DsmNode::ResolveAddr(Gaddr addr) const {
       }
     }
     if (next == current) {
-      // Fixed point: compress everything we walked through.  Compression is
-      // semantically invisible (it only shortens chains toward the same fixed
-      // point), but it turns this const read into a write — so it stands down
-      // while a multi-threaded parallel region is sharing this node's heap
-      // (parallel BGC phases, oracle audits).  Serial runs compress exactly
-      // as before.
-      if (TaskPool::InParallelRegion()) {
-        return current;
-      }
+      // Fixed point: compress everything we walked through.  Compression only
+      // shortens chains toward the same fixed point, but it is not invisible:
+      // a shortened chain can change what later resolutions and reclaims see
+      // once waypoint segments are freed, and with it the traffic of a long
+      // history.  So it runs on every call, whatever the thread count; the
+      // one thread that drives this node's cluster is its only reader.
       for (Gaddr waypoint : visited) {
         if (store_->HasObjectAt(waypoint)) {
           ObjectHeader* header = store_->HeaderOf(waypoint);

@@ -5,20 +5,10 @@
 // the background.  The collector acquires no token at any point; non-owned
 // objects are scanned wherever (and however stale) their local bytes are.
 
-// Parallelism (TaskPool): the scan-heavy phases — marking, per-segment live /
-// dead discovery, reference updates, exiting-table scans — shard over the
-// task pool; every phase that *mutates* (copying, sweeping, table emission,
-// network sends) applies those shard results serially in segment order.  The
-// result is bit-identical to the serial collector at any thread count: the
-// to-space layout, the piggybacked address updates, and the reachability
-// tables all come out of the serial apply loops, which see exactly the data
-// the serial code would have computed.
-
 #include <algorithm>
 
 #include "src/common/check.h"
 #include "src/common/fault_injector.h"
-#include "src/common/task_pool.h"
 #include "src/gc/gc_engine.h"
 
 namespace bmx {
@@ -119,45 +109,6 @@ void GcEngine::MarkFrom(Gaddr root, const std::set<BunchId>& group, std::set<Gad
   }
 }
 
-void GcEngine::MarkRoots(const std::vector<Gaddr>& roots, const std::set<BunchId>& group,
-                         std::set<Gaddr>* marked, std::set<Gaddr>* dangling) {
-  TaskPool& pool = TaskPool::Global();
-  if (pool.threads() == 1 || TaskPool::InParallelRegion() || roots.size() < 2) {
-    for (Gaddr root : roots) {
-      MarkFrom(root, group, marked, dangling);
-    }
-    return;
-  }
-  // One contiguous chunk of the root list per pool thread; each chunk marks
-  // into private sets (no shared mark state, no synchronization) and the
-  // union — taken in chunk order — equals the serial result exactly, because
-  // marking is monotone: reach(R1 ∪ R2) == reach(R1) ∪ reach(R2).  Chunks
-  // whose roots reach overlapping structure re-trace it redundantly, so the
-  // worst case (every root reaches everything) costs wall-clock parity with
-  // serial; disjoint root forests — the wide-heap common case — scale
-  // linearly.
-  struct ChunkMarks {
-    std::set<Gaddr> marked;
-    std::set<Gaddr> dangling;
-  };
-  size_t chunks = std::min(pool.threads(), roots.size());
-  size_t per = (roots.size() + chunks - 1) / chunks;
-  std::vector<ChunkMarks> parts = pool.ParallelMap<ChunkMarks>(chunks, [&](size_t c) {
-    ChunkMarks out;
-    size_t end = std::min(roots.size(), (c + 1) * per);
-    for (size_t i = c * per; i < end; ++i) {
-      MarkFrom(roots[i], group, &out.marked, dangling != nullptr ? &out.dangling : nullptr);
-    }
-    return out;
-  });
-  for (ChunkMarks& part : parts) {
-    marked->insert(part.marked.begin(), part.marked.end());
-    if (dangling != nullptr) {
-      dangling->insert(part.dangling.begin(), part.dangling.end());
-    }
-  }
-}
-
 GcEngine::TraceResult GcEngine::Trace(const std::vector<BunchId>& group,
                                       bool exclude_intra_group_scions) {
   std::set<BunchId> gset(group.begin(), group.end());
@@ -166,14 +117,11 @@ GcEngine::TraceResult GcEngine::Trace(const std::vector<BunchId>& group,
   // --- Strong roots: mutator stacks, inter-bunch scions, entering ownerPtrs
   // --- (§4.1).  For a group collection, inter-bunch scions whose stub
   // --- originates inside the local group are NOT roots — that is what lets
-  // --- the GGC collect intra-site inter-bunch cycles (§7).  Roots are
-  // --- gathered into one deterministically ordered list first, then marked
-  // --- (sharded across the task pool when it is multi-threaded).
-  std::vector<Gaddr> strong_roots;
+  // --- the GGC collect intra-site inter-bunch cycles (§7).
   for (RootProvider* provider : root_providers_) {
     for (Gaddr* slot : provider->RootSlots()) {
       if (*slot != kNullAddr) {
-        strong_roots.push_back(*slot);
+        MarkFrom(*slot, gset, &result.strong, &result.dangling);
       }
     }
   }
@@ -185,23 +133,20 @@ GcEngine::TraceResult GcEngine::Trace(const std::vector<BunchId>& group,
             gset.count(scion.src_bunch) > 0) {
           continue;
         }
-        strong_roots.push_back(scion.target_addr);
+        MarkFrom(scion.target_addr, gset, &result.strong, &result.dangling);
       }
     }
     for (const auto& [oid, sources] : dsm_->EnteringFor(bunch)) {
       Gaddr addr = store_->AddrOfOid(oid);
       if (addr != kNullAddr) {
-        strong_roots.push_back(addr);
+        MarkFrom(addr, gset, &result.strong, &result.dangling);
       }
     }
   }
-  MarkRoots(strong_roots, gset, &result.strong, &result.dangling);
 
   // --- Weak roots: intra-bunch scions (§6.2).  Objects reachable only from
-  // --- these stay alive but emit no exiting ownerPtr; dangling refs are
-  // --- deliberately NOT recorded (weak reachability must not emit exiting
-  // --- entries).
-  std::vector<Gaddr> weak_roots;
+  // --- these stay alive but emit no exiting ownerPtr.
+  std::set<Gaddr> weak;
   for (BunchId bunch : group) {
     const BunchState* state = FindState(bunch);
     if (state == nullptr) {
@@ -210,12 +155,12 @@ GcEngine::TraceResult GcEngine::Trace(const std::vector<BunchId>& group,
     for (const IntraScion& scion : state->intra_scions) {
       Gaddr addr = store_->AddrOfOid(scion.oid);
       if (addr != kNullAddr) {
-        weak_roots.push_back(addr);
+        // Weak trace: dangling refs deliberately NOT recorded (§6.2 — weak
+        // reachability must not emit exiting entries).
+        MarkFrom(addr, gset, &weak, nullptr);
       }
     }
   }
-  std::set<Gaddr> weak;
-  MarkRoots(weak_roots, gset, &weak, nullptr);
   for (Gaddr addr : weak) {
     if (result.strong.count(addr) == 0) {
       result.weak_only.insert(addr);
@@ -245,45 +190,27 @@ void GcEngine::CopyOwnedLive(BunchId bunch, TraceResult* live, std::vector<Addre
     return addr;
   };
 
-  // Scan phase, sharded per old segment: find live, unforwarded objects and
-  // split them owned / merely-scanned.  Pure reads (liveness sets, token
-  // table), so shards share nothing.  Copies made below land exclusively in
-  // fresh to-space segments — never in `old_segments` — so the liveness
-  // answer for every old-segment address is already fixed when the scan
-  // runs, exactly as in the serial interleaved loop.
-  struct SegScan {
-    std::vector<Gaddr> owned_live;
-    uint64_t scanned_only = 0;
-  };
-  std::vector<SegScan> scans =
-      TaskPool::Global().ParallelMap<SegScan>(old_segments.size(), [&](size_t i) {
-        SegScan out;
-        SegmentImage* image = store_->Find(old_segments[i]);
-        BMX_CHECK(image != nullptr);
-        image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
-          if (header.forwarded() || !live->Live(addr)) {
-            return;
-          }
-          if (dsm_->IsLocallyOwned(header.oid)) {
-            out.owned_live.push_back(addr);
-          } else {
-            // §4.2: objects not locally owned are simply scanned; copying
-            // them would require synchronizing the copy-set.
-            out.scanned_only++;
-          }
-        });
-        return out;
-      });
-
-  // Copy phase, serial in segment order: allocation order — and therefore
-  // every to-space address the piggyback layer will ever ship — matches the
-  // serial collector exactly.
-  for (size_t seg_idx = 0; seg_idx < old_segments.size(); ++seg_idx) {
-    SegmentImage* image = store_->Find(old_segments[seg_idx]);
-    stats_.objects_scanned += scans[seg_idx].scanned_only;
-    for (Gaddr addr : scans[seg_idx].owned_live) {
+  for (SegmentId seg : old_segments) {
+    SegmentImage* image = store_->Find(seg);
+    BMX_CHECK(image != nullptr);
+    std::vector<Gaddr> objects;
+    image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
+      if (!header.forwarded()) {
+        objects.push_back(addr);
+      }
+    });
+    for (Gaddr addr : objects) {
+      if (!live->Live(addr)) {
+        continue;
+      }
       ObjectHeader* header = image->HeaderOf(addr);
       Oid oid = header->oid;
+      if (!dsm_->IsLocallyOwned(oid)) {
+        // §4.2: objects not locally owned are simply scanned; copying them
+        // would require synchronizing the copy-set.
+        stats_.objects_scanned++;
+        continue;
+      }
       Gaddr new_addr = allocate_to_space(oid, header->size_slots);
       store_->CopyObjectBytes(addr, new_addr);
       // Non-destructive copy: the old data stays intact behind a forwarding
@@ -333,45 +260,29 @@ void GcEngine::UpdateLocalReferences(const std::vector<BunchId>& group, const Tr
   // §4.4: references to copied objects are updated in place, in every live
   // local object — owned or not — without acquiring any token: the change is
   // visible only locally and does not affect other nodes' copies.
-  //
-  // Sharded per segment: a shard writes only slots of objects inside its own
-  // segment and reads other segments purely through headers / forwarding
-  // maps, which no shard mutates — so every slot ends at the same value as
-  // the serial loop, whatever the interleaving.  Per-shard update counts are
-  // summed in segment order.
-  std::vector<SegmentId> segments;
   for (BunchId bunch : group) {
     for (SegmentId seg : store_->SegmentsOfBunch(bunch)) {
-      segments.push_back(seg);
-    }
-  }
-  std::vector<uint64_t> updated =
-      TaskPool::Global().ParallelMap<uint64_t>(segments.size(), [&](size_t i) {
-        uint64_t count = 0;
-        SegmentImage* image = store_->Find(segments[i]);
-        image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
-          if (header.forwarded() || !live.Live(addr)) {
+      SegmentImage* image = store_->Find(seg);
+      image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
+        if (header.forwarded() || !live.Live(addr)) {
+          return;
+        }
+        image->ForEachRefSlotOf(addr, header.size_slots, [&](size_t slot, uint64_t value) {
+          if (value == kNullAddr) {
             return;
           }
-          image->ForEachRefSlotOf(addr, header.size_slots, [&](size_t slot, uint64_t value) {
-            if (value == kNullAddr) {
-              return;
-            }
-            Gaddr resolved = dsm_->LocalCopyOf(value);
-            if (resolved != value && store_->HasObjectAt(resolved)) {
-              // Rewrite only toward addresses whose bytes this node holds;
-              // pointing a slot at a byte-less canonical address would sever
-              // the local trace (the paper's page-mapped replicas can always
-              // read what they point at).
-              store_->WriteSlot(addr, slot, resolved);
-              count++;
-            }
-          });
+          Gaddr resolved = dsm_->LocalCopyOf(value);
+          if (resolved != value && store_->HasObjectAt(resolved)) {
+            // Rewrite only toward addresses whose bytes this node holds;
+            // pointing a slot at a byte-less canonical address would sever
+            // the local trace (the paper's page-mapped replicas can always
+            // read what they point at).
+            store_->WriteSlot(addr, slot, resolved);
+            stats_.refs_updated_locally++;
+          }
         });
-        return count;
       });
-  for (uint64_t count : updated) {
-    stats_.refs_updated_locally += count;
+    }
   }
   for (RootProvider* provider : root_providers_) {
     for (Gaddr* slot : provider->RootSlots()) {
@@ -383,26 +294,15 @@ void GcEngine::UpdateLocalReferences(const std::vector<BunchId>& group, const Tr
 }
 
 void GcEngine::SweepDead(BunchId bunch, const TraceResult& live) {
-  // Dead-list discovery shards per segment: it reads only headers and the
-  // (now fixed) liveness sets, and reclaiming segment i's dead objects never
-  // changes another segment's forwarded/live answers — so the pre-computed
-  // lists match what the serial loop would have found segment by segment.
-  // The reclaim itself stays serial in segment order: it erases objects and
-  // edits oid/routing maps.
-  std::vector<SegmentId> segments = store_->SegmentsOfBunch(bunch);
-  std::vector<std::vector<Gaddr>> dead_lists =
-      TaskPool::Global().ParallelMap<std::vector<Gaddr>>(segments.size(), [&](size_t i) {
-        std::vector<Gaddr> dead;
-        store_->Find(segments[i])->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
-          if (!header.forwarded() && !live.Live(addr)) {
-            dead.push_back(addr);
-          }
-        });
-        return dead;
-      });
-  for (size_t seg_idx = 0; seg_idx < segments.size(); ++seg_idx) {
-    SegmentImage* image = store_->Find(segments[seg_idx]);
-    for (Gaddr addr : dead_lists[seg_idx]) {
+  for (SegmentId seg : store_->SegmentsOfBunch(bunch)) {
+    SegmentImage* image = store_->Find(seg);
+    std::vector<Gaddr> dead;
+    image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
+      if (!header.forwarded() && !live.Live(addr)) {
+        dead.push_back(addr);
+      }
+    });
+    for (Gaddr addr : dead) {
       ObjectHeader* header = image->HeaderOf(addr);
       stats_.objects_reclaimed++;
       stats_.bytes_reclaimed += ObjectFootprintBytes(header->size_slots);
@@ -489,41 +389,28 @@ void GcEngine::RebuildTables(BunchId bunch, const TraceResult& live) {
       state.exiting_addrs.push_back(addr);
     }
   }
-  // Sharded per segment (pure reads: headers, liveness, token/routing maps);
-  // per-shard rows merge in segment order, which is exactly the order the
-  // serial scan appends them — and the order SendReachabilityTables will
-  // serialize them in.
-  std::vector<SegmentId> segments = store_->SegmentsOfBunch(bunch);
-  std::vector<std::vector<std::pair<Oid, NodeId>>> exiting_rows =
-      TaskPool::Global().ParallelMap<std::vector<std::pair<Oid, NodeId>>>(
-          segments.size(), [&](size_t i) {
-            std::vector<std::pair<Oid, NodeId>> rows;
-            SegmentImage* image = store_->Find(segments[i]);
-            image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
-              if (header.forwarded() || live.strong.count(addr) == 0) {
-                return;
-              }
-              if (dsm_->IsLocallyOwned(header.oid)) {
-                return;
-              }
-              // Every live, strongly reachable, non-owned replica contributes
-              // an exiting ownerPtr — even when local token bookkeeping is
-              // gone (the bytes may have arrived through a stale-copy
-              // relocation): omitting it would let the owner's scion cleaner
-              // prune our entering entry and the owner's BGC reclaim a live
-              // object.
-              NodeId owner = dsm_->OwnerHint(header.oid);
-              if (owner == kInvalidNode) {
-                owner = dsm_->RouteForAddr(addr);
-              }
-              if (owner != kInvalidNode && owner != id_) {
-                rows.emplace_back(header.oid, owner);
-              }
-            });
-            return rows;
-          });
-  for (const auto& rows : exiting_rows) {
-    state.exiting.insert(state.exiting.end(), rows.begin(), rows.end());
+  for (SegmentId seg : store_->SegmentsOfBunch(bunch)) {
+    SegmentImage* image = store_->Find(seg);
+    image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
+      if (header.forwarded() || live.strong.count(addr) == 0) {
+        return;
+      }
+      if (dsm_->IsLocallyOwned(header.oid)) {
+        return;
+      }
+      // Every live, strongly reachable, non-owned replica contributes an
+      // exiting ownerPtr — even when local token bookkeeping is gone (the
+      // bytes may have arrived through a stale-copy relocation): omitting it
+      // would let the owner's scion cleaner prune our entering entry and the
+      // owner's BGC reclaim a live object.
+      NodeId owner = dsm_->OwnerHint(header.oid);
+      if (owner == kInvalidNode) {
+        owner = dsm_->RouteForAddr(addr);
+      }
+      if (owner != kInvalidNode && owner != id_) {
+        state.exiting.emplace_back(header.oid, owner);
+      }
+    });
   }
 }
 

@@ -249,12 +249,6 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
   // references whose bytes are absent locally.
   void MarkFrom(Gaddr root, const std::set<BunchId>& group, std::set<Gaddr>* marked,
                 std::set<Gaddr>* dangling);
-  // Marks every root in `roots` into `marked`/`dangling`.  Multi-threaded
-  // pools shard the root list into one contiguous chunk per thread, each
-  // marking into private sets that are unioned in chunk order — the union
-  // equals the serial result because marking is monotone.
-  void MarkRoots(const std::vector<Gaddr>& roots, const std::set<BunchId>& group,
-                 std::set<Gaddr>* marked, std::set<Gaddr>* dangling);
   void CopyOwnedLive(BunchId bunch, TraceResult* live, std::vector<AddressUpdate>* moves);
   void UpdateLocalReferences(const std::vector<BunchId>& group, const TraceResult& live);
   void SweepDead(BunchId bunch, const TraceResult& live);

@@ -9,18 +9,10 @@
 // the whole collector ever sends; they flow in the background and
 // applications never wait on them.
 
-// Parallelism: only the per-segment *discovery* scans (object lists,
-// forwarder/leftover partitions, reference fixups confined to one segment)
-// shard over the task pool; everything that mutates shared state — header
-// demotions, relocations, message sends — runs serially in segment order, so
-// the wire traffic is bit-identical to the serial implementation.
-
 #include <set>
-#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/fault_injector.h"
-#include "src/common/task_pool.h"
 #include "src/gc/gc_engine.h"
 
 namespace bmx {
@@ -80,28 +72,14 @@ void GcEngine::ReclaimFromSpaces(BunchId bunch) {
     }
   };
 
-  // Object discovery shards per segment (pure header walks); classification
-  // below stays serial — it demotes headers, relocates objects and sends
-  // copy requests, and the request emission order is part of the wire
-  // contract.  Classification of one segment never disturbs another's object
-  // list: relocations allocate outside every from-space (`avoid`) and erase
-  // only within their own segment.
-  std::vector<std::vector<Gaddr>> object_lists =
-      TaskPool::Global().ParallelMap<std::vector<Gaddr>>(pending.segments.size(), [&](size_t i) {
-        std::vector<Gaddr> objects;
-        SegmentImage* image = store_->Find(pending.segments[i]);
-        if (image != nullptr) {
-          image->ForEachObject([&](Gaddr addr, ObjectHeader&) { objects.push_back(addr); });
-        }
-        return objects;
-      });
-
-  for (size_t seg_idx = 0; seg_idx < pending.segments.size(); ++seg_idx) {
-    SegmentImage* image = store_->Find(pending.segments[seg_idx]);
+  for (SegmentId seg : pending.segments) {
+    SegmentImage* image = store_->Find(seg);
     if (image == nullptr) {
       continue;
     }
-    for (Gaddr addr : object_lists[seg_idx]) {
+    std::vector<Gaddr> objects;
+    image->ForEachObject([&](Gaddr addr, ObjectHeader&) { objects.push_back(addr); });
+    for (Gaddr addr : objects) {
       ObjectHeader* header = image->HeaderOf(addr);
       Oid oid = header->oid;
       if (header->forwarded()) {
@@ -291,43 +269,20 @@ void GcEngine::FinishReclaimIfDone(uint64_t round) {
   // non-owned leftovers make the paper's call — "the from-space segment
   // might not be fully reused nor freed" (§4.5) — and defer the segment to
   // the next reclamation round.
-  // Partition each segment's remains — forwarders to memorialize vs. leftover
-  // objects to classify — in parallel (header reads only), then apply in
-  // segment order.  Applying segment i (stale-forward registration, owned
-  // relocation into a non-from-space segment, erasure of own objects) cannot
-  // change what the scan of segment j reports, so the pre-computed partitions
-  // match the serial interleaved walk.
-  struct SegRemains {
-    std::vector<std::pair<Gaddr, Gaddr>> forwarders;  // (addr, forward target)
-    std::vector<Gaddr> leftovers;
-  };
-  std::vector<SegmentId> round_segments(pending.segments.begin(), pending.segments.end());
-  std::vector<SegRemains> remains =
-      TaskPool::Global().ParallelMap<SegRemains>(round_segments.size(), [&](size_t i) {
-        SegRemains out;
-        SegmentImage* image = store_->Find(round_segments[i]);
-        if (image != nullptr) {
-          image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
-            if (header.forwarded()) {
-              out.forwarders.emplace_back(addr, header.forward);
-            } else {
-              out.leftovers.push_back(addr);
-            }
-          });
-        }
-        return out;
-      });
-
-  for (size_t seg_idx = 0; seg_idx < round_segments.size(); ++seg_idx) {
-    SegmentId seg = round_segments[seg_idx];
+  for (SegmentId seg : pending.segments) {
     SegmentImage* image = store_->Find(seg);
     if (image == nullptr) {
       continue;
     }
-    for (const auto& [addr, forward] : remains[seg_idx].forwarders) {
-      dsm_->AddStaleForward(addr, forward);
-    }
-    for (Gaddr addr : remains[seg_idx].leftovers) {
+    std::vector<Gaddr> leftovers;
+    image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
+      if (header.forwarded()) {
+        dsm_->AddStaleForward(addr, header.forward);
+      } else {
+        leftovers.push_back(addr);
+      }
+    });
+    for (Gaddr addr : leftovers) {
       ObjectHeader* header = image->HeaderOf(addr);
       Oid oid = header->oid;
       Gaddr known = store_->AddrOfOid(oid);
@@ -363,44 +318,32 @@ void GcEngine::FinishReclaimIfDone(uint64_t round) {
   }
 
   // Update every local reference (any bunch) and root that still points into
-  // the segments actually being freed.  Sharded per segment: each shard
-  // rewrites slots only inside its own segment toward targets resolved
-  // through maps no shard mutates; counts merge in segment order.
-  std::vector<SegmentId> survivors;
+  // the segments actually being freed.
   for (SegmentId seg : store_->AllSegments()) {
-    if (freeing.count(seg) == 0) {
-      survivors.push_back(seg);
+    if (freeing.count(seg) > 0) {
+      continue;
     }
-  }
-  std::vector<uint64_t> fixups =
-      TaskPool::Global().ParallelMap<uint64_t>(survivors.size(), [&](size_t i) {
-        uint64_t count = 0;
-        SegmentImage* image = store_->Find(survivors[i]);
-        image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
-          if (header.forwarded()) {
-            return;
-          }
-          image->ForEachRefSlotOf(addr, header.size_slots, [&](size_t slot, uint64_t value) {
-            if (value == kNullAddr || freeing.count(SegmentOf(value)) == 0) {
-              return;
-            }
-            Gaddr resolved = dsm_->ResolveAddr(value);
-            if (freeing.count(SegmentOf(resolved)) > 0) {
-              // Unresolvable references into the freed segment can only occur
-              // in stale local copies (entry consistency permits them) whose
-              // target died; the slot is unreachable data, so leave it.  Any
-              // future acquire refreshes the containing object's bytes from
-              // its owner.
-              return;
-            }
-            store_->WriteSlot(addr, slot, resolved);
-            count++;
-          });
-        });
-        return count;
+    SegmentImage* image = store_->Find(seg);
+    image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
+      if (header.forwarded()) {
+        return;
+      }
+      image->ForEachRefSlotOf(addr, header.size_slots, [&](size_t slot, uint64_t value) {
+        if (value == kNullAddr || freeing.count(SegmentOf(value)) == 0) {
+          return;
+        }
+        Gaddr resolved = dsm_->ResolveAddr(value);
+        if (freeing.count(SegmentOf(resolved)) > 0) {
+          // Unresolvable references into the freed segment can only occur in
+          // stale local copies (entry consistency permits them) whose target
+          // died; the slot is unreachable data, so leave it.  Any future
+          // acquire refreshes the containing object's bytes from its owner.
+          return;
+        }
+        store_->WriteSlot(addr, slot, resolved);
+        stats_.refs_updated_locally++;
       });
-  for (uint64_t count : fixups) {
-    stats_.refs_updated_locally += count;
+    });
   }
   for (RootProvider* provider : root_providers_) {
     for (Gaddr* slot : provider->RootSlots()) {

@@ -15,9 +15,9 @@ SegmentImage& ReplicaStore::GetOrCreate(SegmentId seg, BunchId bunch) {
 }
 
 void ReplicaStore::Drop(SegmentId seg) {
-  // Bump the global MRU epoch so no thread's cache entry — ours or a pool
-  // worker's — can keep pointing at the dropped image.
-  InvalidateMruEverywhere();
+  if (mru_ != nullptr && mru_->id() == seg) {
+    mru_ = nullptr;  // never leave the MRU cache dangling
+  }
   segments_.erase(seg);
 }
 

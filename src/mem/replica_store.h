@@ -11,16 +11,13 @@
 // behaviour never depends on their iteration order — SegmentsOfBunch /
 // AllSegments sort their output), and SegmentFor carries a one-entry MRU
 // cache because slot-granular callers (ReadSlot/WriteSlot/SlotIsRef) probe
-// the same segment dozens of times in a row.  The MRU entry is *thread-local*
-// (keyed by store identity) so concurrent shard readers — parallel BGC
-// phases, oracle audits, explorer fleets — never share cache state; a global
-// epoch, bumped whenever any store drops a segment or dies, invalidates every
-// thread's entry so a stale hit can never outlive the image it points at.
+// the same segment dozens of times in a row.  The cache is a plain member:
+// a store belongs to one node of one cluster, and every cluster is driven by
+// exactly one thread, so no two threads ever read a store at once.
 
 #ifndef SRC_MEM_REPLICA_STORE_H_
 #define SRC_MEM_REPLICA_STORE_H_
 
-#include <atomic>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -34,24 +31,20 @@ namespace bmx {
 
 class ReplicaStore {
  public:
-  ~ReplicaStore() { InvalidateMruEverywhere(); }
-
   bool HasSegment(SegmentId seg) const { return segments_.count(seg) > 0; }
 
   SegmentImage* Find(SegmentId seg) {
     GlobalPerfCounters().segment_probes++;
-    MruEntry& mru = ThreadMru();
-    uint64_t epoch = MruEpoch().load(std::memory_order_acquire);
-    if (mru.store == this && mru.seg == seg && mru.epoch == epoch) {
+    if (mru_ != nullptr && mru_->id() == seg) {
       GlobalPerfCounters().segment_mru_hits++;
-      return mru.image;
+      return mru_;
     }
     auto it = segments_.find(seg);
     if (it == segments_.end()) {
       return nullptr;
     }
-    mru = MruEntry{this, seg, it->second.get(), epoch};
-    return mru.image;
+    mru_ = it->second.get();
+    return mru_;
   }
   const SegmentImage* Find(SegmentId seg) const {
     return const_cast<ReplicaStore*>(this)->Find(seg);
@@ -105,31 +98,9 @@ class ReplicaStore {
   void CopyObjectBytes(Gaddr from_addr, Gaddr to_addr);
 
  private:
-  // One-entry MRU segment cache, one per thread.  `epoch` snapshots the
-  // global invalidation epoch at fill time: Drop() and ~ReplicaStore() bump
-  // the epoch, so entries on *other* threads (which cannot be cleared
-  // directly) go stale instead of dangling.  Store identity is part of the
-  // key, so several nodes' stores interleaved on one thread never cross-hit.
-  struct MruEntry {
-    const ReplicaStore* store = nullptr;
-    SegmentId seg = 0;
-    SegmentImage* image = nullptr;
-    uint64_t epoch = 0;
-  };
-  static MruEntry& ThreadMru() {
-    static thread_local MruEntry entry;
-    return entry;
-  }
-  static std::atomic<uint64_t>& MruEpoch() {
-    static std::atomic<uint64_t> epoch{1};
-    return epoch;
-  }
-  static void InvalidateMruEverywhere() {
-    MruEpoch().fetch_add(1, std::memory_order_acq_rel);
-  }
-
   std::unordered_map<SegmentId, std::unique_ptr<SegmentImage>> segments_;
   std::unordered_map<Oid, Gaddr> oid_addr_;
+  mutable SegmentImage* mru_ = nullptr;  // last segment Find() returned
 };
 
 }  // namespace bmx

@@ -105,63 +105,22 @@ RunResult Explorer::RunOnce(const ExplorerScenario& scenario, uint64_t walk_seed
 }
 
 ExplorationResult Explorer::Explore(const ExplorerScenario& scenario) {
+  // Walk fleet: batches of `threads` independent walks, each building and
+  // driving its own cluster on one pool thread (the per-thread fault injector
+  // and perf counters make that confinement sound).  This is the task pool's
+  // only user; everything a walk runs — GC, reclaim, oracles — is serial on
+  // that one thread, so a walk's result never depends on the thread count.
+  // Batch results fold in walk order and the fold stops at the first
+  // violating walk, so runs, total_deliveries, fingerprint and the violating
+  // seed match a one-thread run bit for bit; walks that ran past the first
+  // violation are discarded unobserved.  At one thread a batch is one walk,
+  // run inline.  The wall-clock budget gates batches, and the first batch
+  // always runs.
   ExplorationResult out;
   auto start = std::chrono::steady_clock::now();
   size_t walks = options_.schedule == ScheduleKind::kFifo
                      ? 1  // FIFO has exactly one schedule; extra walks repeat it
                      : options_.num_walks;
-  TaskPool& pool = TaskPool::Global();
-  if (pool.threads() > 1 && !TaskPool::InParallelRegion() && walks > 1) {
-    return ExploreParallel(scenario, walks, start);
-  }
-  for (size_t walk = 0; walk < walks; ++walk) {
-    if (walk > 0 && options_.budget_seconds > 0) {
-      double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-      if (elapsed >= options_.budget_seconds) {
-        break;
-      }
-    }
-    uint64_t walk_seed = DeriveStreamSeed(options_.root_seed + walk, RngStream::kScheduler);
-    Trace recorded;
-    RunResult run =
-        RunOnce(scenario, walk_seed, nullptr, &recorded, options_.oracle_stride);
-    out.runs++;
-    out.total_deliveries += run.deliveries;
-    out.fingerprint = run.fingerprint;
-    if (!run.violated) {
-      continue;
-    }
-    out.violation_found = true;
-    out.violating_walk_seed = walk_seed;
-    out.violations = run.violations;
-    out.trace = recorded;
-    size_t shrink_runs = 0;
-    out.shrunk = Shrink(scenario, recorded, &shrink_runs);
-    out.runs += shrink_runs;
-    if (!options_.trace_dir.empty()) {
-      out.trace_path = options_.trace_dir + "/" + scenario.name + "-violation.trace";
-      out.shrunk.WriteFile(out.trace_path);
-    }
-    break;
-  }
-  return out;
-}
-
-ExplorationResult Explorer::ExploreParallel(
-    const ExplorerScenario& scenario, size_t walks,
-    std::chrono::steady_clock::time_point start) {
-  // Walk fleet: batches of `threads` independent walks, each building and
-  // driving its own cluster confined to one pool thread (the per-thread
-  // fault injector and perf counters make that confinement sound; GC and
-  // oracle task-pool calls inside a walk run inline, being nested).  Batch
-  // results fold in walk order and the fold stops at the first violating
-  // walk, so runs, total_deliveries, fingerprint, and the violating seed all
-  // match the serial loop bit for bit — walks that ran past the first
-  // violation are discarded unobserved.  Only the wall-clock budget is
-  // coarser: it gates batches, not individual walks (and at least one batch
-  // always runs, mirroring the serial at-least-one-walk guarantee).
-  ExplorationResult out;
   struct WalkOutcome {
     RunResult run;
     Trace recorded;

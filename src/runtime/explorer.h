@@ -15,7 +15,6 @@
 #ifndef SRC_RUNTIME_EXPLORER_H_
 #define SRC_RUNTIME_EXPLORER_H_
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -54,8 +53,8 @@ struct ExplorerOptions {
   // only at quiescence (cheaper, but the shrinker loses the early violation
   // index that tail truncation feeds on).
   uint64_t oracle_stride = 1;
-  // Wall-clock budget: no new walk starts after this many seconds (0 = no
-  // limit).  At least one walk always runs.
+  // Wall-clock budget: no new batch of walks (one per pool thread) starts
+  // after this many seconds (0 = no limit).  The first batch always runs.
   double budget_seconds = 0.0;
   // Upper bound on scenario executions one Shrink() may spend.
   size_t max_shrink_runs = 400;
@@ -130,11 +129,6 @@ class Explorer {
   // replaying.  `stride` overrides options_.oracle_stride.
   RunResult RunOnce(const ExplorerScenario& scenario, uint64_t walk_seed,
                     const Trace* replay, Trace* recorded, uint64_t stride);
-
-  // Multi-threaded Explore: task-pool batches of independent walks, folded in
-  // walk order so the result is identical to the serial loop (see .cc).
-  ExplorationResult ExploreParallel(const ExplorerScenario& scenario, size_t walks,
-                                    std::chrono::steady_clock::time_point start);
 
   ExplorerOptions options_;
 };

@@ -4,15 +4,8 @@
 #include <set>
 #include <sstream>
 
-#include "src/common/task_pool.h"
 #include "src/gc/ssp.h"
 #include "src/mem/object.h"
-
-// Parallelism (TaskPool): the per-node audits are pure reads over a quiescent
-// cluster — token snapshots, SSP tables, heap walks — so each live node's
-// portion runs as an independent shard; shard outputs (snapshots or violation
-// strings) merge in node order, which is exactly the order the serial loops
-// produce them in.  Verdicts are therefore identical at any thread count.
 
 namespace bmx {
 
@@ -63,14 +56,9 @@ void InvariantOracle::CheckTokenUniqueness(std::vector<std::string>* out) {
     TokenSnapshot snap;
   };
   std::map<Oid, std::vector<Holder>> by_oid;
-  std::vector<NodeId> live = LiveNodes();
-  std::vector<std::vector<TokenSnapshot>> snapshots =
-      TaskPool::Global().ParallelMap<std::vector<TokenSnapshot>>(live.size(), [&](size_t i) {
-        return cluster_->node(live[i]).dsm().SnapshotTokens();
-      });
-  for (size_t i = 0; i < live.size(); ++i) {
-    for (const TokenSnapshot& snap : snapshots[i]) {
-      by_oid[snap.oid].push_back({live[i], snap});
+  for (NodeId id : LiveNodes()) {
+    for (const TokenSnapshot& snap : cluster_->node(id).dsm().SnapshotTokens()) {
+      by_oid[snap.oid].push_back({id, snap});
     }
   }
   for (const auto& [oid, holders] : by_oid) {
@@ -114,14 +102,9 @@ void InvariantOracle::CheckTokens(std::vector<std::string>* out) {
   };
   std::map<Oid, std::vector<Holder>> by_oid;
   std::map<Oid, std::set<NodeId>> copyset_union;
-  std::vector<NodeId> live = LiveNodes();
-  std::vector<std::vector<TokenSnapshot>> snapshots =
-      TaskPool::Global().ParallelMap<std::vector<TokenSnapshot>>(live.size(), [&](size_t i) {
-        return cluster_->node(live[i]).dsm().SnapshotTokens();
-      });
-  for (size_t i = 0; i < live.size(); ++i) {
-    for (const TokenSnapshot& snap : snapshots[i]) {
-      by_oid[snap.oid].push_back({live[i], snap});
+  for (NodeId id : LiveNodes()) {
+    for (const TokenSnapshot& snap : cluster_->node(id).dsm().SnapshotTokens()) {
+      by_oid[snap.oid].push_back({id, snap});
       for (NodeId member : snap.copyset) {
         copyset_union[snap.oid].insert(member);
       }
@@ -169,20 +152,7 @@ void InvariantOracle::CheckTokens(std::vector<std::string>* out) {
 void InvariantOracle::CheckSsps(std::vector<std::string>* out) {
   std::vector<NodeId> live = LiveNodes();
   std::set<NodeId> live_set(live.begin(), live.end());
-  std::vector<std::vector<std::string>> per_node =
-      TaskPool::Global().ParallelMap<std::vector<std::string>>(live.size(), [&](size_t i) {
-        std::vector<std::string> violations;
-        CheckSspsOfNode(live[i], live_set, &violations);
-        return violations;
-      });
-  for (const auto& violations : per_node) {
-    out->insert(out->end(), violations.begin(), violations.end());
-  }
-}
-
-void InvariantOracle::CheckSspsOfNode(NodeId id, const std::set<NodeId>& live_set,
-                                      std::vector<std::string>* out) {
-  {
+  for (NodeId id : live) {
     Node& node = cluster_->node(id);
     for (BunchId bunch : node.gc().ReplicaBunches()) {
       GcEngine::BunchTables tables = node.gc().TablesOf(bunch);
@@ -252,21 +222,8 @@ void InvariantOracle::CheckReachability(std::vector<std::string>* out) {
   // produce bytes is checked per-oid in CheckTokens; here we catch references
   // whose target oid the directory has already *forgotten* while an owner
   // record survives, and targets whose owner record names a crashed node.
-  std::vector<NodeId> live = LiveNodes();
-  std::vector<std::vector<std::string>> per_node =
-      TaskPool::Global().ParallelMap<std::vector<std::string>>(live.size(), [&](size_t i) {
-        std::vector<std::string> violations;
-        CheckReachabilityOfNode(live[i], &violations);
-        return violations;
-      });
-  for (const auto& violations : per_node) {
-    out->insert(out->end(), violations.begin(), violations.end());
-  }
-}
-
-void InvariantOracle::CheckReachabilityOfNode(NodeId id, std::vector<std::string>* out) {
   SegmentDirectory& directory = cluster_->directory();
-  {
+  for (NodeId id : LiveNodes()) {
     Node& node = cluster_->node(id);
     for (SegmentId seg : node.store().AllSegments()) {
       SegmentImage* image = node.store().Find(seg);

@@ -23,7 +23,6 @@
 #ifndef SRC_RUNTIME_ORACLE_H_
 #define SRC_RUNTIME_ORACLE_H_
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -53,12 +52,6 @@ class InvariantOracle {
   void CheckTokenUniqueness(std::vector<std::string>* out);
   void CheckSsps(std::vector<std::string>* out);
   void CheckReachability(std::vector<std::string>* out);
-  // Single-node shards of families (4) and (5); pure reads, safe to run one
-  // per pool thread.  Violations for the node append to `out` in the same
-  // order the serial whole-cluster walk would emit them.
-  void CheckSspsOfNode(NodeId id, const std::set<NodeId>& live_set,
-                       std::vector<std::string>* out);
-  void CheckReachabilityOfNode(NodeId id, std::vector<std::string>* out);
 
   std::vector<NodeId> LiveNodes() const;
 

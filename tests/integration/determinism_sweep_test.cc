@@ -2,9 +2,10 @@
 // run at BMX_THREADS ∈ {1,2,4,8} must produce bit-identical observable
 // results — BGC/reclaim wire traffic, oracle verdicts, and every field of an
 // explorer result — and a trace recorded under a multi-threaded explorer must
-// replay under one thread.  threads=1 is the exact legacy serial path, so
-// equality against it proves the parallel paths are semantics-preserving, not
-// merely self-consistent.
+// replay under one thread.  The BGC, reclaim and the oracle run serially on
+// the thread that drives their cluster, so the first two pin that the thread
+// count never leaks into them; the explorer cases pin the walk fleet, whose
+// walks run on pool workers above one thread.
 //
 // The pool-level half (ordered merge, exactly-once, deterministic exception
 // choice) lives in tests/common/task_pool_test.cc.

@@ -9,7 +9,7 @@
 //     the protocol said;
 //   * at a fixed node count and seed, the whole soak stack — fingerprint and
 //     invariant / consistency / liveness verdicts — is stable across
-//     BMX_THREADS ∈ {1, 4} and across flush-policy settings.
+//     BMX_THREADS ∈ {1, 2, 4} and across flush-policy settings.
 
 #include <gtest/gtest.h>
 
@@ -38,13 +38,14 @@ SoakOptions SmallSoak(const BatchPolicy& batch) {
   return opts;
 }
 
-// One deterministic FIFO walk of the soak under all three oracles; the
-// ExplorationResult carries the fingerprint and every verdict.
-ExplorationResult ExploreSoak(const SoakOptions& opts) {
+// Walks of the soak under all three oracles (by default one deterministic
+// FIFO walk); the ExplorationResult carries the fingerprint and every verdict.
+ExplorationResult ExploreSoak(const SoakOptions& opts, ScheduleKind schedule = ScheduleKind::kFifo,
+                              size_t num_walks = 1, uint64_t root_seed = 5) {
   ExplorerOptions eo;
-  eo.root_seed = 5;
-  eo.num_walks = 1;
-  eo.schedule = ScheduleKind::kFifo;
+  eo.root_seed = root_seed;
+  eo.num_walks = num_walks;
+  eo.schedule = schedule;
   eo.oracle_stride = 64;
   eo.check_consistency = true;
   eo.check_liveness = true;
@@ -140,6 +141,25 @@ TEST(ScaleDeterminism, SoakVerdictsAndFingerprintStableAcrossThreads) {
     EXPECT_EQ(parallel.violations, serial.violations) << "batching=" << batching;
     EXPECT_EQ(parallel.fingerprint, serial.fingerprint) << "batching=" << batching;
     EXPECT_EQ(parallel.total_deliveries, serial.total_deliveries) << "batching=" << batching;
+  }
+
+  // A two-walk random-walk fleet: above one thread its walks run on pool
+  // workers, which the single FIFO walk above never does.  The history is
+  // long enough for forwarding-chain path compression to change traffic, so
+  // any thread-count dependence in a walk shows up here.
+  SoakOptions walk_opts = SmallSoak(BatchPolicy{});
+  walk_opts.ops = 2000;
+  TaskPool::SetThreadsForTesting(1);
+  ExplorationResult one = ExploreSoak(walk_opts, ScheduleKind::kRandomWalk, /*num_walks=*/2,
+                                      /*root_seed=*/2);
+  for (size_t threads : {2u, 4u}) {
+    TaskPool::SetThreadsForTesting(threads);
+    ExplorationResult fleet = ExploreSoak(walk_opts, ScheduleKind::kRandomWalk, /*num_walks=*/2,
+                                          /*root_seed=*/2);
+    EXPECT_EQ(fleet.violation_found, one.violation_found) << "threads=" << threads;
+    EXPECT_EQ(fleet.violations, one.violations) << "threads=" << threads;
+    EXPECT_EQ(fleet.fingerprint, one.fingerprint) << "threads=" << threads;
+    EXPECT_EQ(fleet.total_deliveries, one.total_deliveries) << "threads=" << threads;
   }
 }
 
