@@ -2,43 +2,9 @@
 
 namespace bmx {
 
-namespace {
-
-// Stateless splitmix64 finalizer: jitter must not consume RNG stream state
-// (see header determinism contract).
-uint64_t Mix(uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-double ClampFraction(double f) {
-  if (f < 0.0) return 0.0;
-  if (f > 1.0) return 1.0;
-  return f;
-}
-
-}  // namespace
-
-RetryPolicy::RetryPolicy(const RetryPolicyConfig& config) { set_config(config); }
-
-void RetryPolicy::set_config(const RetryPolicyConfig& config) {
-  config_ = config;
-  config_.jitter_fraction = ClampFraction(config_.jitter_fraction);
-}
-
-uint64_t RetryPolicy::BackoffFor(uint32_t attempt, uint64_t jitter_key) const {
+uint64_t RetryPolicy::BackoffFor(uint32_t attempt) const {
   uint32_t shift = attempt < config_.backoff_shift_cap ? attempt : config_.backoff_shift_cap;
-  uint64_t backoff = config_.base_timeout << shift;
-  if (config_.jitter_fraction > 0.0) {
-    uint64_t span = static_cast<uint64_t>(static_cast<double>(backoff) * config_.jitter_fraction);
-    if (span > 0) {
-      uint64_t h = Mix(config_.jitter_seed + 0x9e3779b97f4a7c15ull * (jitter_key + 1));
-      h = Mix(h ^ (0xbf58476d1ce4e5b9ull * (static_cast<uint64_t>(attempt) + 1)));
-      backoff += h % (span + 1);
-    }
-  }
-  return backoff;
+  return config_.base_timeout << shift;
 }
 
 bool RetryPolicy::AllowAttempt(NodeId peer, uint64_t now) {

@@ -1,5 +1,5 @@
-// Unified retry policy: capped exponential backoff with deterministic seeded
-// jitter, an attempt budget, and per-peer circuit-breaker state.
+// Unified retry policy: capped exponential backoff, an attempt budget, and
+// per-peer circuit-breaker state.
 //
 // Before this existed each retry driver carried its own inline rules: the
 // network's retransmit timer computed `timeout << min(attempts, 16)` by hand
@@ -7,14 +7,11 @@
 // one policy object, so the backoff shape, the budget and the breaker are
 // configured — and tested — in one place.
 //
-// Determinism contract: BackoffFor is a pure function of (config, attempt,
-// jitter_key).  Jitter is a stateless splitmix hash over (seed, key, attempt)
-// rather than a stateful RNG draw, so computing a backoff never consumes
-// stream state and never needs a DecisionLog entry — identical seeds give
-// identical schedules in live, record and replay modes alike.  With the
-// default config (no jitter, shift cap 16) BackoffFor reproduces the legacy
-// network shift bit-for-bit, which is what keeps pinned traffic fingerprints
-// unchanged.
+// Determinism contract: BackoffFor is a pure function of (config, attempt),
+// so computing a backoff never consumes stream state and never needs a
+// DecisionLog entry.  With the default config (shift cap 16) BackoffFor
+// reproduces the legacy network shift bit-for-bit, which is what keeps pinned
+// traffic fingerprints unchanged.
 
 #ifndef SRC_COMMON_RETRY_H_
 #define SRC_COMMON_RETRY_H_
@@ -27,15 +24,9 @@
 namespace bmx {
 
 struct RetryPolicyConfig {
-  // Backoff for attempt a is base_timeout << min(a, backoff_shift_cap),
-  // plus jitter in [0, jitter_fraction * backoff] when jitter is enabled.
+  // Backoff for attempt a is base_timeout << min(a, backoff_shift_cap).
   uint64_t base_timeout = 8;
   uint32_t backoff_shift_cap = 16;
-  // Clamped to [0, 1]; at <= 1 the jittered schedule stays monotone
-  // non-decreasing up to the cap (backoff doubles, jitter adds at most one
-  // backoff).  0 disables jitter entirely.
-  double jitter_fraction = 0.0;
-  uint64_t jitter_seed = 0;
   // Total attempts a driver may make before giving up; 0 = unbounded.
   uint32_t attempt_budget = 0;
   // Consecutive failures toward one peer that trip its breaker; 0 disables
@@ -51,16 +42,12 @@ class RetryPolicy {
   enum class BreakerState : uint8_t { kClosed, kOpen, kHalfOpen };
 
   RetryPolicy() = default;
-  explicit RetryPolicy(const RetryPolicyConfig& config);
-
-  const RetryPolicyConfig& config() const { return config_; }
-  void set_config(const RetryPolicyConfig& config);
+  explicit RetryPolicy(const RetryPolicyConfig& config) : config_(config) {}
 
   // Backoff (in virtual-clock ticks) before retry number `attempt` (1-based:
-  // the network passes the post-increment attempt counter).  jitter_key
-  // decorrelates schedules of different retry series under one policy (e.g.
-  // per channel); ignored when jitter is off.
-  uint64_t BackoffFor(uint32_t attempt, uint64_t jitter_key = 0) const;
+  // the network passes the post-increment attempt counter; 0 is the first
+  // transmission's timeout).
+  uint64_t BackoffFor(uint32_t attempt) const;
 
   // True once `attempts_made` uses up the attempt budget (never with
   // budget 0).

@@ -419,7 +419,6 @@ void DsmNode::RecordLocalMove(Oid oid, Gaddr old_addr, Gaddr new_addr, BunchId b
 }
 
 void DsmNode::RecordGcFlip(Oid oid, Gaddr old_addr, Gaddr new_addr) {
-#if !defined(BMX_DISABLE_HISTORY)
   if (HistoryRecorder* recorder = network_->history_recorder()) {
     HistoryEvent event;
     event.op = HistoryOp::kGcFlip;
@@ -428,11 +427,6 @@ void DsmNode::RecordGcFlip(Oid oid, Gaddr old_addr, Gaddr new_addr) {
     event.new_addr = new_addr;
     recorder->Record(id_, std::move(event));
   }
-#else
-  (void)oid;
-  (void)old_addr;
-  (void)new_addr;
-#endif
 }
 
 bool DsmNode::IsLocallyOwned(Oid oid) const {

@@ -351,9 +351,8 @@ class DsmNode : public MessageHandler {
   // breaker is consulted ONLY when the first hop is detached — a restarted
   // (re-attached) peer is always tried immediately.
   RetryPolicy acquire_retry_{RetryPolicyConfig{
-      /*base_timeout=*/8, /*backoff_shift_cap=*/16, /*jitter_fraction=*/0.0,
-      /*jitter_seed=*/0, /*attempt_budget=*/3, /*breaker_threshold=*/6,
-      /*breaker_cooldown_ticks=*/1024}};
+      /*base_timeout=*/8, /*backoff_shift_cap=*/16, /*attempt_budget=*/3,
+      /*breaker_threshold=*/6, /*breaker_cooldown_ticks=*/1024}};
 
   // Explorer-canary state (see PlantCanaryReorderBugForTesting).
   Oid canary_victim_ = kNullOid;

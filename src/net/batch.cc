@@ -1,6 +1,7 @@
 #include "src/net/batch.h"
 
 #include <cstring>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -164,6 +165,17 @@ bool DecodeBatchFrame(const uint8_t* data, size_t size, std::vector<BatchWireEnt
   }
   *out = std::move(entries);
   return true;
+}
+
+BatchFramePayload::BatchFramePayload(std::vector<BatchedMessage> entries)
+    : entries_(std::move(entries)) {
+  BMX_CHECK(!entries_.empty()) << "a batch frame must carry at least one message";
+  std::vector<size_t> body_sizes;
+  body_sizes.reserve(entries_.size());
+  for (const BatchedMessage& e : entries_) {
+    body_sizes.push_back(e.payload->WireSize());
+  }
+  wire_size_ = BatchFrameImageSize(body_sizes);
 }
 
 bool BatchableMsgKind(MsgKind kind) {

@@ -12,9 +12,11 @@
 // are deterministic policy, not random draws), and with batching disabled the
 // wire is bit-identical to the unbatched transport.
 //
-// The frame image is a real self-validating wire format — encoded at flush,
-// decoded and verified at delivery — so the codec is exercised on every
-// batched delivery, not just in its property tests.
+// A frame on the simulated wire carries its entries in process and charges
+// the size of their encoded image, BatchFrameImageSize, as its wire size.
+// The codec below is the reference that formula is tested against (the
+// property tests pin EncodeBatchFrame's output size to it); no delivery
+// encodes or decodes an image.
 //
 // Frame layout (little-endian):
 //   offset 0   magic "BMXB" (4 bytes)
@@ -42,7 +44,7 @@
 namespace bmx {
 
 inline constexpr uint8_t kBatchFrameVersion = 1;
-// Hard codec bounds; the flush policy's knobs must stay within them.
+// Hard codec bounds; the flush caps below must stay within them.
 inline constexpr size_t kMaxBatchEntries = 256;
 inline constexpr size_t kMaxBatchFrameBytes = 64 * 1024;
 // Fixed framing overhead: header (magic + version + count + region length)
@@ -59,7 +61,7 @@ struct BatchWireEntry {
 };
 
 // Encodes a non-empty entry list into a frame image.  Fatal (BMX_CHECK) on
-// inputs outside the codec bounds — the flush policy guarantees them.
+// inputs outside the codec bounds.
 std::vector<uint8_t> EncodeBatchFrame(const std::vector<BatchWireEntry>& entries);
 
 // Decodes and fully validates a frame image.  Returns false (and fills
@@ -81,21 +83,27 @@ bool BatchableMsgKind(MsgKind kind);
 // transport is the pinned-fingerprint baseline.
 struct BatchPolicy {
   bool enabled = false;
-  // Flush a channel's pending batch when it holds this many payloads...
-  size_t max_entries = 16;
-  // ...or this many payload bytes, whichever comes first.
-  size_t max_bytes = 1024;
-  // Deadline flush: a pending batch older than this many virtual-clock ticks
-  // is flushed at the next delivery step, bounding how long coalescing can
-  // delay a control message relative to the unbatched transport.
-  uint64_t deadline_ticks = 4;
-  // Payloads larger than this bypass coalescing even when their kind is
-  // batchable (a bulky ObjectPush should not ride a control frame).  128
-  // covers the small-object copy replies of a §4.5 reclaim train — the
-  // traffic kCopyReply is on the batchable list for — while staying well
-  // under the bulk grant sizes.
-  size_t batchable_size_limit = 128;
 };
+
+// Flush caps of the coalescing layer.  A channel's pending batch flushes when
+// it holds kBatchMaxEntries payloads or kBatchMaxBytes payload bytes,
+// whichever comes first, and no later than kBatchDeadlineTicks virtual-clock
+// ticks after it opened (bounding how long coalescing can delay a control
+// message).  Payloads larger than kBatchableSizeLimit bypass coalescing even
+// when their kind is batchable: 128 B covers the small-object copy replies
+// of a §4.5 reclaim train while staying well under the bulk grant sizes.
+inline constexpr size_t kBatchMaxEntries = 16;
+inline constexpr size_t kBatchMaxBytes = 1024;
+inline constexpr uint64_t kBatchDeadlineTicks = 4;
+inline constexpr size_t kBatchableSizeLimit = 128;
+static_assert(kBatchMaxEntries <= kMaxBatchEntries, "entry cap exceeds the codec bound");
+// A batch seals when it *reaches* a cap, so the largest frame holds
+// kBatchMaxBytes - 1 buffered bytes plus one more batchable payload.
+static_assert(kBatchFrameHeaderBytes + kBatchFrameTrailerBytes +
+                      kBatchMaxEntries * kBatchEntryHeaderBytes + kBatchMaxBytes +
+                      kBatchableSizeLimit <=
+                  kMaxBatchFrameBytes,
+              "flush caps exceed the batch-frame codec bound");
 
 // One logical message riding in a frame.  `seq` is the channel wire sequence
 // the message was assigned when the sender appended it — the identity the
@@ -106,26 +114,24 @@ struct BatchedMessage {
   std::shared_ptr<const Payload> payload;
 };
 
-// The frame payload the network transmits.  Carries both the in-process
-// payload pointers (what handlers ultimately receive) and the encoded image
-// (what a real wire would carry); delivery decodes the image and verifies it
-// against the entry list before dispatching anything.
+// The frame payload the network transmits: the logical messages in send
+// order, and the wire size of their encoded image.
 class BatchFramePayload : public Payload {
  public:
+  explicit BatchFramePayload(std::vector<BatchedMessage> entries);
+
   MsgKind kind() const override { return MsgKind::kBatchFrame; }
   // Frames carry mixed-category traffic; the category of the first entry
   // classifies the frame's wire bytes (per-category *logical* accounting is
   // untouched — it was recorded per payload at Send time).
-  MsgCategory category() const override { return category_; }
-  size_t WireSize() const override { return image.size(); }
+  MsgCategory category() const override { return entries_.front().payload->category(); }
+  size_t WireSize() const override { return wire_size_; }
 
-  void set_category(MsgCategory c) { category_ = c; }
-
-  std::vector<BatchedMessage> entries;
-  std::vector<uint8_t> image;
+  const std::vector<BatchedMessage>& entries() const { return entries_; }
 
  private:
-  MsgCategory category_ = MsgCategory::kDsm;
+  std::vector<BatchedMessage> entries_;
+  size_t wire_size_;
 };
 
 }  // namespace bmx

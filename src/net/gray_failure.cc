@@ -1,6 +1,8 @@
 #include "src/net/gray_failure.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <set>
+#include <utility>
 
 namespace bmx {
 
@@ -28,32 +30,57 @@ std::vector<std::string> SplitOn(const std::string& text, char sep) {
   return out;
 }
 
-bool ParseNodeId(const std::string& s, NodeId* out) {
-  if (s.empty()) {
+// A whole string of decimal digits with a value in [0, max]: no sign, no
+// whitespace, no empty value, so "-1" cannot wrap to a huge number.
+bool ParseUint(const std::string& s, uint64_t max, uint64_t* out) {
+  uint64_t v = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || v > max) {
     return false;
   }
-  char* end = nullptr;
-  unsigned long v = std::strtoul(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  *out = v;
+  return true;
+}
+
+// Node ids stop below kInvalidNode.
+bool ParseNodeId(const std::string& s, NodeId* out) {
+  uint64_t v = 0;
+  if (!ParseUint(s, kInvalidNode - 1, &v)) {
     return false;
   }
   *out = static_cast<NodeId>(v);
   return true;
 }
 
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) {
+// A probability in [0, 1], or in [0, 1) unless one_allowed.  NaN fails both
+// bounds.
+bool ParseRate(const std::string& s, bool one_allowed, double* out) {
+  double v = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || !(v >= 0) ||
+      !(one_allowed ? v <= 1 : v < 1)) {
     return false;
   }
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0';
+  *out = v;
+  return true;
 }
+
+// Shortest decimal form that parses back to the same double.
+std::string FormatRate(double v) {
+  char buf[32];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, end);
+}
+
+// Link latency bound: keeps the virtual clock's now + latency far from
+// wrapping.
+constexpr uint64_t kMaxLatencyTicks = UINT32_MAX;
 
 }  // namespace
 
 bool GraySpec::Parse(const std::string& text, GraySpec* out, std::string* error) {
   *out = GraySpec{};
+  std::set<std::pair<NodeId, NodeId>> links_seen;
   for (const std::string& part : SplitOn(text, ';')) {
     if (part.empty()) {
       continue;
@@ -82,36 +109,41 @@ bool GraySpec::Parse(const std::string& text, GraySpec* out, std::string* error)
     if (link.src == link.dst) {
       return Fail(error, "link endpoints must differ in '" + part + "'");
     }
+    if (!links_seen.insert({link.src, link.dst}).second) {
+      return Fail(error, "link listed twice in '" + part + "'");
+    }
+    std::set<std::string> keys_seen;
     for (const std::string& attr : SplitOn(part.substr(colon + 1), ',')) {
+      size_t eq = attr.find('=');
+      std::string key = attr.substr(0, eq);
+      std::string value = eq == std::string::npos ? "" : attr.substr(eq + 1);
+      if (!keys_seen.insert(key).second) {
+        return Fail(error, "attribute '" + key + "' given twice in '" + part + "'");
+      }
       if (attr == "zombie") {
         link.profile.zombie = true;
-        continue;
-      }
-      size_t eq = attr.find('=');
-      if (eq == std::string::npos) {
+      } else if (eq == std::string::npos) {
         return Fail(error, "expected key=value or 'zombie' in '" + attr + "'");
-      }
-      std::string key = attr.substr(0, eq);
-      std::string value = attr.substr(eq + 1);
-      if (key == "lat") {
-        char* end = nullptr;
-        link.profile.latency_ticks = std::strtoull(value.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0') {
-          return Fail(error, "bad latency in '" + attr + "'");
+      } else if (key == "lat") {
+        if (!ParseUint(value, kMaxLatencyTicks, &link.profile.latency_ticks)) {
+          return Fail(error, "lat must be an integer in [0, 2^32) in '" + attr + "'");
         }
       } else if (key == "loss") {
-        if (!ParseDouble(value, &link.profile.loss_rate) || link.profile.loss_rate < 0 ||
-            link.profile.loss_rate >= 1.0) {
+        if (!ParseRate(value, /*one_allowed=*/false, &link.profile.loss_rate)) {
           return Fail(error, "loss must be in [0, 1) in '" + attr + "'");
         }
       } else if (key == "dup") {
-        if (!ParseDouble(value, &link.profile.duplication_rate) ||
-            link.profile.duplication_rate < 0 || link.profile.duplication_rate > 1.0) {
+        if (!ParseRate(value, /*one_allowed=*/true, &link.profile.duplication_rate)) {
           return Fail(error, "dup must be in [0, 1] in '" + attr + "'");
         }
       } else {
         return Fail(error, "unknown link attribute '" + key + "'");
       }
+    }
+    const LinkProfile& p = link.profile;
+    if (p.latency_ticks == 0 && p.loss_rate < 0 && p.duplication_rate < 0 && !p.zombie) {
+      // Would print as "a->b:", which does not parse.
+      return Fail(error, "link profile changes nothing in '" + part + "'");
     }
     out->links.push_back(link);
   }
@@ -140,11 +172,11 @@ std::string GraySpec::ToString() const {
     }
     if (link.profile.loss_rate >= 0) {
       if (!attrs.empty()) attrs += ',';
-      attrs += "loss=" + std::to_string(link.profile.loss_rate);
+      attrs += "loss=" + FormatRate(link.profile.loss_rate);
     }
     if (link.profile.duplication_rate >= 0) {
       if (!attrs.empty()) attrs += ',';
-      attrs += "dup=" + std::to_string(link.profile.duplication_rate);
+      attrs += "dup=" + FormatRate(link.profile.duplication_rate);
     }
     if (link.profile.zombie) {
       if (!attrs.empty()) attrs += ',';

@@ -8,9 +8,13 @@
 //   a->b:zombie                link a→b: transport-acks, drops dispatch
 //   zombie=n                   node n: every inbound link drops dispatch
 //
-// e.g. "0->1:lat=4,loss=0.2;1->0:lat=4;zombie=2".  Parsing is pure; Apply
-// installs the profiles on a Network.  Scenario drivers apply specs inside
-// the scenario closure so recorded traces replay under the same profile.
+// e.g. "0->1:lat=4,loss=0.2;1->0:lat=4;zombie=2".  Node ids are decimal and
+// below kInvalidNode, lat is a decimal tick count below 2^32, loss is in
+// [0, 1) and dup in [0, 1].  Parse rejects anything else, a link or an
+// attribute given twice, and a link entry that changes nothing.  Parsing is
+// pure; Apply installs the profiles on a Network.  Scenario drivers apply
+// specs inside the scenario closure so recorded traces replay under the same
+// profile.
 
 #ifndef SRC_NET_GRAY_FAILURE_H_
 #define SRC_NET_GRAY_FAILURE_H_
@@ -40,7 +44,8 @@ struct GraySpec {
 
   void Apply(Network* net) const;
 
-  // Canonical round-trippable rendering (diagnostics, CI logs).
+  // Canonical rendering (diagnostics, CI logs): Parse of it gives back the
+  // same spec, rates included.
   std::string ToString() const;
 };
 

@@ -136,9 +136,9 @@ struct NetworkStats {
     uint64_t frames_delivered = 0;   // frames unpacked at a destination
     uint64_t batched_payloads = 0;   // logical messages that rode in a frame
     uint64_t flush_full = 0;         // entry- or byte-cap flushes
-    uint64_t flush_deadline = 0;     // age-bound flushes (deadline_ticks)
+    uint64_t flush_deadline = 0;     // age-bound flushes (kBatchDeadlineTicks)
     uint64_t flush_ordering = 0;     // non-batchable send forced the flush
-    uint64_t flush_quiesce = 0;      // drained at idle by RunUntilIdle
+    uint64_t flush_quiesce = 0;      // destination crashed (DisconnectNode)
   };
 
   std::array<PerKind, static_cast<size_t>(MsgKind::kMaxKind)> per_kind;
@@ -250,12 +250,6 @@ class Network {
   // --- Virtual clock (ticks; one tick per consumed message). ---
   uint64_t now() const { return now_; }
   void AdvanceClock(uint64_t ticks) { now_ += ticks; }
-  // Base retransmission timeout; attempt k backs off to base << k ticks.
-  void set_retransmit_timeout(uint64_t ticks);
-  // Full control over the retransmission schedule (backoff shape, jitter,
-  // cap).  set_retransmit_timeout is shorthand for changing base_timeout.
-  void set_retry_policy(const RetryPolicyConfig& config) { retry_.set_config(config); }
-  const RetryPolicy& retry_policy() const { return retry_; }
 
   // --- Gray-failure injection (see LinkProfile). ---
   void InstallLinkProfile(NodeId src, NodeId dst, const LinkProfile& profile);
@@ -312,8 +306,8 @@ class Network {
   // handler emits inherit the joined clock.  Pure observation: no wire byte,
   // stat, or decision index changes, so traffic fingerprints and recorded
   // traces stay bit-identical with or without a recorder (pinned by
-  // tests/runtime/consistency_test.cc).  Null disables (single branch per
-  // send/delivery; gone entirely under BMX_DISABLE_HISTORY).
+  // tests/runtime/consistency_test.cc).  Null disables (one branch per
+  // send/delivery).
   void set_history_recorder(HistoryRecorder* recorder) { history_ = recorder; }
   HistoryRecorder* history_recorder() const { return history_; }
 
@@ -368,7 +362,6 @@ class Network {
   // the historical transport, and the fingerprint tests hold it bit-identical.
   // Must be set before any batchable traffic is pending.
   void set_batch_policy(const BatchPolicy& policy);
-  const BatchPolicy& batch_policy() const { return batch_policy_; }
   // Logical messages currently coalescing (not yet flushed into a frame).
   size_t PendingBatchedCount() const { return pending_batched_; }
 
@@ -377,7 +370,8 @@ class Network {
   // abandons a request addressed to a crashed node: without this, the request
   // would be replayed to the node's next incarnation even though the caller
   // already gave up on it (and possibly reissued it elsewhere).  Returns the
-  // number of payloads dropped.
+  // number of payloads dropped.  The kind must not be batchable (checked):
+  // payloads inside pending batches and frames are out of its reach.
   size_t DropParked(NodeId src, NodeId dst, MsgKind kind);
 
   // --- Incarnation epochs. ---
@@ -437,13 +431,21 @@ class Network {
   };
 
   // One per-channel coalescing buffer (batching enabled only); flushed into a
-  // BatchFramePayload by size, deadline, ordering or quiescence triggers.
+  // BatchFramePayload by the full, deadline, ordering or crash triggers.
   struct PendingBatch {
     std::vector<BatchedMessage> entries;
     size_t bytes = 0;     // sum of entry payload wire sizes
     uint64_t deadline = 0;  // flush no later than this virtual-clock tick
   };
 
+  // Stamps a new wire copy of `payload` on the channel (next seq and, if
+  // reliable, next rel_seq; both endpoints' current epochs; link latency) and
+  // opens a reliable payload's unacked entry.  Nothing is enqueued.
+  Message Stamp(const ChannelKey& key, Channel* channel, std::shared_ptr<const Payload> payload);
+  // Puts a new wire copy of `payload` on the channel — Stamp, wire-byte
+  // accounting, the duplication draw, Enqueue — for both a logical send and a
+  // flushed frame.  Returns the copy's seq.
+  uint64_t Transmit(const ChannelKey& key, std::shared_ptr<const Payload> payload);
   void Enqueue(Channel* channel, Message msg);
   // Transport-level ack for a received reliable payload (subject to ack
   // loss).  Returns true if the sender's unacked entry was retired.
@@ -460,6 +462,9 @@ class Network {
   // consult the per-purpose rng, replay consults the trace.  A rate of zero
   // consumes no decision index (the draw point does not exist).
   bool DrawChance(DecisionPoint point, double rate, Rng* rng);
+  // DrawChance for a loss or duplication fault on one link: the global knob
+  // (rate, rng) unless the link's profile overrides that rate.
+  bool DrawLinkFault(DecisionPoint point, const ChannelKey& key, double rate, Rng* rng);
   // Chooses the channel DeliverOne consumes from (scheduler + decision
   // stream); returns nullptr when every queue is empty.
   Channel* PickDeliveryChannel(ChannelKey* key_out);
@@ -470,9 +475,6 @@ class Network {
   // network records or replays (see FaultInjector::set_fire_gate).
   void AttachFaultGate();
   void DetachFaultGate();
-  // nullptr when the link has no profile (including when the table is empty —
-  // the common case, kept to one branch).
-  LinkState* FindLinkState(const ChannelKey& key);
   // Virtual-clock tick at which a wire copy enqueued now on `key` becomes
   // deliverable (0 unless the link inflates latency).
   uint64_t ReadyAt(const ChannelKey& key) const;
@@ -486,24 +488,21 @@ class Network {
   // True when the payload may ride a batch frame under the current policy.
   bool Batchable(const Payload& payload) const;
   // Buffers one logical send into the channel's pending batch (logical stats
-  // and the history snapshot were already taken by Send); flushes on the
-  // size caps.
+  // were already taken by Send); flushes on the size caps.
   void AppendToBatch(NodeId src, NodeId dst, std::shared_ptr<const Payload> payload);
-  // Packs the channel's pending batch into one frame and transmits it through
-  // the shared wire path (dup draw, unacked entry, enqueue).
-  void FlushBatch(const ChannelKey& key, PendingBatch batch);
-  // Flushes the pending batch of one channel, if any (ordering trigger).
+  // Packs the channel's pending batch, if any, into one frame and transmits
+  // it, counting the flush in *trigger_counter.
   void FlushBatchFor(const ChannelKey& key, uint64_t* trigger_counter);
   // Flushes every batch whose deadline has passed (start of DeliverOne).
   void FlushDueBatches();
-  // Flushes everything pending; returns the number of frames emitted
-  // (quiescence trigger in DrainUntilIdle).
-  size_t FlushAllBatches();
-  // Hands one in-order reliable delivery to the destination: a batch frame is
-  // verified against its wire image and unpacked into per-logical-message
-  // dispatches; anything else dispatches as-is.  Returns false if the
-  // destination crashed mid-dispatch.
+  // Hands one in-order reliable delivery to the destination: a batch frame
+  // unpacks into one logical delivery per entry; anything else is one logical
+  // delivery.  Returns false if the destination crashed mid-dispatch.
   bool DispatchReliable(const ChannelKey& key, MessageHandler* handler, const Message& msg);
+  // The logical delivery step of every payload: swallowed by a zombie
+  // link/peer, or counted as delivered, joined into the history, dispatched
+  // and shown to the delivery observer.  Returns false if the handler crashed.
+  bool DeliverLogical(const ChannelKey& key, MessageHandler* handler, const Message& msg);
 
   uint64_t root_seed_;
   // One independent stream per random-decision family (satellite of the

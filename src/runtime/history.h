@@ -17,8 +17,7 @@
 //
 // Overhead when disabled: a null-pointer check per hooked operation (the
 // recorder pointer lives on the Network; clusters attach one only when
-// EnableHistoryRecording() is called).  Compiling with -DBMX_DISABLE_HISTORY
-// removes even that branch: every hook site expands to nothing.
+// EnableHistoryRecording() is called).
 //
 // Determinism: recording happens on the thread driving the cluster.  Every
 // recorded path is single-threaded per cluster — mutator calls, message
@@ -48,23 +47,6 @@
 #include "src/common/types.h"
 
 namespace bmx {
-
-// Compile-time kill switch: with BMX_DISABLE_HISTORY defined, every recording
-// hook in DsmNode/Mutator/Network compiles to nothing (zero overhead, not
-// even the null check).
-#if defined(BMX_DISABLE_HISTORY)
-#define BMX_HISTORY_HOOK(recorder, call) \
-  do {                                   \
-  } while (0)
-#else
-#define BMX_HISTORY_HOOK(recorder, call) \
-  do {                                   \
-    auto* bmx_hist_rec_ = (recorder);    \
-    if (bmx_hist_rec_ != nullptr) {      \
-      bmx_hist_rec_->call;               \
-    }                                    \
-  } while (0)
-#endif
 
 // One kind of client-observable event.
 enum class HistoryOp : uint8_t {

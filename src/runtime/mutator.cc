@@ -13,7 +13,6 @@ Mutator::~Mutator() { node_->gc().RemoveRootProvider(this); }
 
 void Mutator::RecordHistory(HistoryOp op, Gaddr obj, uint32_t slot, uint64_t value,
                             bool is_ref) const {
-#if !defined(BMX_DISABLE_HISTORY)
   HistoryRecorder* recorder = node_->network()->history_recorder();
   if (recorder == nullptr) {
     return;
@@ -29,13 +28,6 @@ void Mutator::RecordHistory(HistoryOp op, Gaddr obj, uint32_t slot, uint64_t val
   event.value = value;
   event.is_ref = is_ref;
   recorder->Record(node_->id(), std::move(event));
-#else
-  (void)op;
-  (void)obj;
-  (void)slot;
-  (void)value;
-  (void)is_ref;
-#endif
 }
 
 Gaddr Mutator::Alloc(BunchId bunch, uint32_t size_slots) {

@@ -67,8 +67,7 @@ class Mutator : public RootProvider {
   void CheckWritable(Gaddr obj) const;
   void CheckReadable(Gaddr obj) const;
   // Consistency-checker hook: records one client-observable event when the
-  // cluster has history recording enabled; a single branch otherwise (and
-  // nothing at all under BMX_DISABLE_HISTORY).
+  // cluster has history recording enabled; a single branch otherwise.
   void RecordHistory(HistoryOp op, Gaddr obj, uint32_t slot, uint64_t value,
                      bool is_ref) const;
 

@@ -158,7 +158,6 @@ TEST(Network, RetransmitBackoffIsExponential) {
   Network net(1);
   Recorder r;
   net.RegisterNode(1, &r);
-  net.set_retransmit_timeout(8);
   net.ForceDropReliableTransmissions(3);
   net.Send(0, 1, std::make_shared<ReliableProbe>());
 

@@ -1,9 +1,7 @@
 // Property tests for the unified RetryPolicy (src/common/retry.h): backoff
-// shape (monotone up to the cap, legacy-compatible by default), jitter bounds
-// and determinism, attempt budgets, and the per-peer circuit breaker's
-// open → half-open → closed/re-open life cycle.
-
-#include <vector>
+// shape (monotone up to the cap, legacy-compatible by default), attempt
+// budgets, and the per-peer circuit breaker's open → half-open →
+// closed/re-open life cycle.
 
 #include <gtest/gtest.h>
 
@@ -23,76 +21,24 @@ TEST(RetryBackoff, DefaultConfigMatchesLegacyShift) {
               uint64_t{8} << (attempt < 16 ? attempt : 16))
         << "attempt " << attempt;
   }
-  // jitter_key must be inert while jitter is off.
-  EXPECT_EQ(policy.BackoffFor(3, 0), policy.BackoffFor(3, 12345));
 }
 
-// Monotone non-decreasing up to the cap, for many configs, jittered or not:
-// the backoff doubles every attempt and jitter adds at most one backoff, so
-// a jittered step can never overtake the next unjittered one.
+// Monotone non-decreasing up to the cap, for many configs: the backoff
+// doubles every attempt.
 TEST(RetryBackoff, MonotoneNonDecreasingUpToCap) {
   Rng rng(7);
   for (int trial = 0; trial < 50; ++trial) {
     RetryPolicyConfig config;
     config.base_timeout = 1 + rng.Below(64);
     config.backoff_shift_cap = 1 + static_cast<uint32_t>(rng.Below(20));
-    config.jitter_fraction = static_cast<double>(rng.Below(101)) / 100.0;
-    config.jitter_seed = rng.Next();
     RetryPolicy policy(config);
-    uint64_t key = rng.Next();
     uint64_t prev = 0;
     for (uint32_t attempt = 0; attempt <= config.backoff_shift_cap; ++attempt) {
-      uint64_t backoff = policy.BackoffFor(attempt, key);
+      uint64_t backoff = policy.BackoffFor(attempt);
       EXPECT_GE(backoff, prev) << "trial " << trial << " attempt " << attempt;
       prev = backoff;
     }
   }
-}
-
-// Jitter stays inside [backoff, (1 + fraction) * backoff].
-TEST(RetryBackoff, JitterWithinConfiguredBounds) {
-  RetryPolicyConfig config;
-  config.base_timeout = 16;
-  config.backoff_shift_cap = 10;
-  config.jitter_fraction = 0.5;
-  config.jitter_seed = 99;
-  RetryPolicy policy(config);
-  for (uint32_t attempt = 0; attempt < 24; ++attempt) {
-    for (uint64_t key = 0; key < 16; ++key) {
-      uint64_t pure =
-          config.base_timeout << (attempt < 10 ? attempt : 10);
-      uint64_t backoff = policy.BackoffFor(attempt, key);
-      EXPECT_GE(backoff, pure);
-      EXPECT_LE(backoff, pure + pure / 2);
-    }
-  }
-}
-
-// Identical seeds give identical schedules (BackoffFor is pure — no stream
-// state is consumed); different seeds decorrelate.
-TEST(RetryBackoff, SeededJitterIsDeterministic) {
-  RetryPolicyConfig config;
-  config.jitter_fraction = 0.75;
-  config.jitter_seed = 42;
-  RetryPolicy a(config);
-  RetryPolicy b(config);
-  std::vector<uint64_t> schedule_a, schedule_b;
-  for (uint32_t attempt = 0; attempt < 32; ++attempt) {
-    schedule_a.push_back(a.BackoffFor(attempt, attempt * 3));
-    // Interleave unrelated queries: purity means they cannot perturb b's
-    // schedule.
-    (void)b.BackoffFor(attempt + 7, 999);
-    schedule_b.push_back(b.BackoffFor(attempt, attempt * 3));
-  }
-  EXPECT_EQ(schedule_a, schedule_b);
-
-  config.jitter_seed = 43;
-  RetryPolicy c(config);
-  bool any_difference = false;
-  for (uint32_t attempt = 0; attempt < 32; ++attempt) {
-    any_difference |= c.BackoffFor(attempt, attempt * 3) != schedule_a[attempt];
-  }
-  EXPECT_TRUE(any_difference);
 }
 
 TEST(RetryBudget, ExhaustedHonorsBudgetAndUnboundedZero) {

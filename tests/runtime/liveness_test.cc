@@ -197,23 +197,5 @@ TEST(LivenessExplorer, CleanUnderGrayLatencyAndLoss) {
   }
 }
 
-// The gray DSL round-trips and rejects malformed specs.
-TEST(GraySpecDsl, ParseAndRoundTrip) {
-  GraySpec spec;
-  std::string error;
-  ASSERT_TRUE(GraySpec::Parse("0->1:lat=4,zombie;zombie=2", &spec, &error)) << error;
-  ASSERT_EQ(spec.links.size(), 1u);
-  EXPECT_EQ(spec.links[0].profile.latency_ticks, 4u);
-  EXPECT_TRUE(spec.links[0].profile.zombie);
-  ASSERT_EQ(spec.zombie_nodes.size(), 1u);
-  EXPECT_EQ(spec.zombie_nodes[0], 2u);
-  EXPECT_EQ(spec.ToString(), "0->1:lat=4,zombie;zombie=2");
-
-  EXPECT_FALSE(GraySpec::Parse("0->0:lat=1", &spec, &error));
-  EXPECT_FALSE(GraySpec::Parse("0->1:loss=1.5", &spec, &error));
-  EXPECT_FALSE(GraySpec::Parse("0->1:warp=9", &spec, &error));
-  EXPECT_FALSE(GraySpec::Parse("nonsense", &spec, &error));
-}
-
 }  // namespace
 }  // namespace bmx
