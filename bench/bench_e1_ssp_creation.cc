@@ -55,7 +55,7 @@ void E1_InterBunchStore_FreshSsp(benchmark::State& state) {
   Gaddr src = m.Alloc(b1, 2);
   std::vector<Gaddr> targets;
   targets.reserve(state.max_iterations);
-  for (size_t i = 0; i < state.max_iterations; ++i) {
+  for (size_t i = 0; i < static_cast<size_t>(state.max_iterations); ++i) {
     targets.push_back(m.Alloc(b2, 1));
   }
   size_t i = 0;
@@ -78,7 +78,7 @@ void E1_InterBunchStore_RemoteTarget(benchmark::State& state) {
   Gaddr src = m0.Alloc(b1, 2);
   std::vector<Gaddr> targets;
   targets.reserve(state.max_iterations);
-  for (size_t i = 0; i < state.max_iterations; ++i) {
+  for (size_t i = 0; i < static_cast<size_t>(state.max_iterations); ++i) {
     targets.push_back(m1.Alloc(b2, 1));
   }
   size_t i = 0;

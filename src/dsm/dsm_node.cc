@@ -87,6 +87,11 @@ Gaddr DsmNode::ResolveAddr(Gaddr addr) const {
   return current;
 }
 
+Gaddr DsmNode::ResolveOid(Oid oid) const {
+  Gaddr addr = store_->AddrOfOid(oid);
+  return addr == kNullAddr ? kNullAddr : ResolveAddr(addr);
+}
+
 Gaddr DsmNode::LocalCopyOf(Gaddr addr) const {
   Gaddr resolved = ResolveAddr(addr);
   if (store_->HasObjectAt(resolved)) {
@@ -138,9 +143,9 @@ Oid DsmNode::OidAt(Gaddr addr) const {
 NodeId DsmNode::ProbableOwnerForAddr(Gaddr addr) const {
   Oid oid = OidAt(addr);
   if (oid != kNullOid) {
-    auto it = tokens_.find(oid);
-    if (it != tokens_.end() && it->second.owner_hint != kInvalidNode) {
-      return it->second.owner_hint;
+    const TokenInfo* t = FindToken(oid);
+    if (t != nullptr && t->owner_hint != kInvalidNode) {
+      return t->owner_hint;
     }
   }
   auto routing = stale_routing_.find(ResolveAddr(addr));
@@ -182,8 +187,7 @@ void DsmNode::BeginAcquire(Gaddr addr, bool write, bool for_gc) {
     // No route anywhere: the object was reclaimed at its owner and every
     // registry entry is gone.  The address is dangling; fail the acquire.
     stats_.unroutable_acquires++;
-    wait_active_ = false;
-    wait_complete_ = false;
+    EndAcquireWait(false);
     return;
   }
   auto req = std::make_shared<AcquireRequestPayload>();
@@ -200,12 +204,11 @@ void DsmNode::BeginAcquire(Gaddr addr, bool write, bool for_gc) {
   network_->Send(id_, target, std::move(req));
 }
 
-void DsmNode::AbandonAcquireWait() {
+void DsmNode::EndAcquireWait(bool completed) {
   network_->obligations().Close(ObligationKind::kAcquire, id_, 0);
   wait_active_ = false;
-  wait_complete_ = false;
+  wait_complete_ = completed;
   wait_addr_ = kNullAddr;
-  wait_target_ = kInvalidNode;
 }
 
 bool DsmNode::CompleteAcquire(Gaddr addr, bool write, bool for_gc) {
@@ -224,7 +227,7 @@ bool DsmNode::CompleteAcquire(Gaddr addr, bool write, bool for_gc) {
       // the parked request instead of waiting out another quiescence cycle.
       stats_.breaker_fast_fails++;
       network_->DropParked(id_, wait_target_, MsgKind::kAcquireRequest);
-      AbandonAcquireWait();
+      EndAcquireWait(false);
       return false;
     }
     network_->RunUntilIdle();
@@ -247,7 +250,7 @@ bool DsmNode::CompleteAcquire(Gaddr addr, bool write, bool for_gc) {
     stats_.acquire_timeouts++;
     acquire_retry_.RecordFailure(wait_target_, network_->now());
     network_->DropParked(id_, wait_target_, MsgKind::kAcquireRequest);
-    AbandonAcquireWait();
+    EndAcquireWait(false);
     if (acquire_retry_.Exhausted(attempt)) {
       return false;  // fail cleanly: every route leads to a dead node
     }
@@ -377,16 +380,15 @@ void DsmNode::RestoreReaderReplica(Oid oid, NodeId reader, bool reader_has_token
   if (reader == id_) {
     return;
   }
-  auto it = tokens_.find(oid);
-  if (it == tokens_.end() || !it->second.owner) {
+  TokenInfo* t = FindToken(oid);
+  if (t == nullptr || !t->owner) {
     return;  // contested away, or the peer's view is stale — nothing to track
   }
-  TokenInfo& t = it->second;
-  entering_[t.bunch][oid].insert(reader);
+  entering_[t->bunch][oid].insert(reader);
   if (reader_has_token) {
-    t.copyset.insert(reader);
-    if (t.state == TokenState::kWrite) {
-      t.state = TokenState::kRead;  // readers exist again: no exclusivity
+    t->copyset.insert(reader);
+    if (t->state == TokenState::kWrite) {
+      t->state = TokenState::kRead;  // readers exist again: no exclusivity
     }
   }
 }
@@ -411,7 +413,11 @@ std::vector<TokenSnapshot> DsmNode::SnapshotTokens() const {
 }
 
 void DsmNode::RecordLocalMove(Oid oid, Gaddr old_addr, Gaddr new_addr, BunchId bunch) {
-  move_history_[oid].push_back(AddressUpdate{oid, bunch, old_addr, new_addr});
+  MoveChain& chain = move_history_[oid];
+  chain.Add(bunch, old_addr, new_addr);
+  // The owner's own move is the present, even away from an address the chain
+  // already holds.
+  chain.latest = new_addr;
   store_->SetAddrOfOid(oid, new_addr);
   // Only owners move objects; the new location is the canonical one.
   directory_->RecordObjectAddress(oid, new_addr);
@@ -430,31 +436,31 @@ void DsmNode::RecordGcFlip(Oid oid, Gaddr old_addr, Gaddr new_addr) {
 }
 
 bool DsmNode::IsLocallyOwned(Oid oid) const {
-  auto it = tokens_.find(oid);
-  return it != tokens_.end() && it->second.owner;
+  const TokenInfo* t = FindToken(oid);
+  return t != nullptr && t->owner;
 }
 
 TokenState DsmNode::StateOf(Oid oid) const {
-  auto it = tokens_.find(oid);
-  return it == tokens_.end() ? TokenState::kNone : it->second.state;
+  const TokenInfo* t = FindToken(oid);
+  return t == nullptr ? TokenState::kNone : t->state;
 }
 
 bool DsmNode::IsHeld(Oid oid) const {
-  auto it = tokens_.find(oid);
-  return it != tokens_.end() && it->second.held;
+  const TokenInfo* t = FindToken(oid);
+  return t != nullptr && t->held;
 }
 
 NodeId DsmNode::OwnerHint(Oid oid) const {
-  auto it = tokens_.find(oid);
-  if (it == tokens_.end()) {
+  const TokenInfo* t = FindToken(oid);
+  if (t == nullptr) {
     return kInvalidNode;
   }
-  return it->second.owner ? id_ : it->second.owner_hint;
+  return t->owner ? id_ : t->owner_hint;
 }
 
 BunchId DsmNode::BunchOf(Oid oid) const {
-  auto it = tokens_.find(oid);
-  return it == tokens_.end() ? kInvalidBunch : it->second.bunch;
+  const TokenInfo* t = FindToken(oid);
+  return t == nullptr ? kInvalidBunch : t->bunch;
 }
 
 const std::map<Oid, std::set<NodeId>>& DsmNode::EnteringFor(BunchId bunch) const {
@@ -495,15 +501,29 @@ void DsmNode::ForgetObject(Oid oid) {
 
 std::vector<AddressUpdate> DsmNode::BuildInvariant1Updates(Oid oid) const {
   std::vector<AddressUpdate> out;
-  auto add_history = [&](Oid target) {
+  std::vector<Oid> shipped;
+  auto add_chain = [&](Oid target) {
     auto it = move_history_.find(target);
     if (it == move_history_.end()) {
       return;
     }
-    out.insert(out.end(), it->second.begin(), it->second.end());
+    const MoveChain& chain = it->second;
+    if (std::find(shipped.begin(), shipped.end(), target) != shipped.end()) {
+      // Referenced again (several slots, or the object itself): its chain is
+      // already on board.
+      auto& perf = GlobalPerfCounters();
+      perf.piggyback_updates_coalesced += chain.old_addrs.size();
+      perf.piggyback_bytes_saved += chain.old_addrs.size() * kAddressUpdateWireBytes;
+      return;
+    }
+    shipped.push_back(target);
+    // One hop per stale address: each one aims straight at the latest.
+    for (Gaddr old_addr : chain.old_addrs) {
+      out.push_back(AddressUpdate{target, chain.bunch, old_addr, chain.latest});
+    }
   };
   // The object's own moves...
-  add_history(oid);
+  add_chain(oid);
   // ...plus moves of every object it directly references (§5, invariant 1:
   // "the new locations of the object being acquired and of every object
   // directly referenced from it").
@@ -518,11 +538,9 @@ std::vector<AddressUpdate> DsmNode::BuildInvariant1Updates(Oid oid) const {
     }
     Gaddr resolved = ResolveAddr(target);
     if (store_->HasObjectAt(resolved)) {
-      add_history(store_->HeaderOf(resolved)->oid);
+      add_chain(store_->HeaderOf(resolved)->oid);
     }
   });
-  // Last-write-wins collapse before the list rides a consistency message.
-  CoalesceAddressUpdates(&out);
   return out;
 }
 
@@ -721,9 +739,7 @@ void DsmNode::FinishWriteGrant(Oid oid) {
     // Local upgrade: owner regained exclusivity.
     t.state = TokenState::kWrite;
     t.held = true;
-    wait_complete_ = true;
-    wait_active_ = false;
-    network_->obligations().Close(ObligationKind::kAcquire, id_, 0);
+    EndAcquireWait(true);
     Redispatch(oid);
     return;
   }
@@ -734,7 +750,7 @@ void DsmNode::FinishWriteGrant(Oid oid) {
   grant->write = true;
   grant->for_gc = pg.for_gc;
   grant->granter_owner_hint = id_;
-  FillObjectBytes(oid, grant.get());
+  grant->object = CaptureLocalCopy(oid);
 
   // The entering-ownerPtr set moves with ownership: the new owner must know
   // every node holding a non-owned replica — that is also the list of nodes
@@ -780,7 +796,7 @@ void DsmNode::SendReadGrant(Oid oid, NodeId requester, bool for_gc, Gaddr byte_a
   grant->write = false;
   grant->for_gc = for_gc;
   grant->granter_owner_hint = id_;
-  FillObjectBytes(oid, grant.get(), byte_addr);
+  grant->object = CaptureLocalCopy(oid, byte_addr);
   grant->piggyback.updates = BuildInvariant1Updates(oid);
   SpillPiggybackOverflow(&grant->piggyback.updates, requester);
   stats_.piggyback_updates_sent += grant->piggyback.updates.size();
@@ -788,7 +804,7 @@ void DsmNode::SendReadGrant(Oid oid, NodeId requester, bool for_gc, Gaddr byte_a
   network_->Send(id_, requester, std::move(grant));
 }
 
-void DsmNode::FillObjectBytes(Oid oid, GrantPayload* grant, Gaddr byte_addr) const {
+ObjectImage DsmNode::CaptureLocalCopy(Oid oid, Gaddr byte_addr) const {
   Gaddr resolved = kNullAddr;
   if (byte_addr != kNullAddr && store_->HasObjectAt(byte_addr)) {
     resolved = byte_addr;
@@ -801,19 +817,9 @@ void DsmNode::FillObjectBytes(Oid oid, GrantPayload* grant, Gaddr byte_addr) con
   // in-heap chain to the actual bytes.
   resolved = store_->ResolveForward(resolved);
   BMX_CHECK(store_->HasObjectAt(resolved)) << "granting object " << oid << " without bytes";
-  const ObjectHeader* header = store_->HeaderOf(resolved);
-  BMX_CHECK(!header->forwarded());
-  grant->addr = resolved;
-  grant->header = *header;
-  // One segment lookup for the whole object: bulk-copy the slots, then mark
-  // ref slots straight off the ref-map words.
-  const SegmentImage* image = store_->SegmentFor(resolved);
-  const uint64_t* src = const_cast<SegmentImage*>(image)->SlotPtr(resolved, 0);
-  grant->slots.assign(src, src + header->size_slots);
-  grant->slot_is_ref.assign(header->size_slots, 0);
-  image->ForEachRefSlotOf(resolved, header->size_slots, [&](size_t slot, uint64_t) {
-    grant->slot_is_ref[slot] = 1;
-  });
+  ObjectImage object = store_->CaptureObject(resolved);
+  BMX_CHECK(!object.header.forwarded());
+  return object;
 }
 
 void DsmNode::HandleGrant(const Message& msg) {
@@ -821,17 +827,14 @@ void DsmNode::HandleGrant(const Message& msg) {
   if (grant.denied) {
     if (wait_active_) {
       // The object is gone everywhere: the acquire fails (dangling address).
-      wait_complete_ = false;
-      wait_active_ = false;
-      wait_addr_ = kNullAddr;
-      network_->obligations().Close(ObligationKind::kAcquire, id_, 0);
+      EndAcquireWait(false);
     }
     // A denial with no acquire in flight is a replayed/stale grant (e.g.
     // redelivered to a restarted incarnation of this node): nothing to fail.
     return;
   }
-  InstallObjectBytes(grant.oid, grant.bunch, grant.addr, grant.header, grant.slots,
-                     grant.slot_is_ref);
+  const ObjectImage& object = grant.object;
+  InstallObjectBytes(grant.oid, grant.bunch, object);
   TokenInfo& t = InfoOf(grant.oid);
   t.bunch = grant.bunch;
   if (grant.write) {
@@ -854,65 +857,47 @@ void DsmNode::HandleGrant(const Message& msg) {
   // Crash here and the requester dies as the owner-of-record of an object
   // whose bytes it never checkpointed; peers' recovery replies resupply them.
   FAULT_POINT("dsm.grant.post_install", id_);
-  ApplyAddressUpdates(grant.piggyback.updates, msg.src);
-  if (gc_hooks_ != nullptr) {
-    for (const IntraSspRequest& request : grant.piggyback.intra_ssp_requests) {
-      gc_hooks_->CreateIntraStub(request);
-    }
-    for (const InterStubTemplate& stub_template : grant.piggyback.replicated_stubs) {
-      gc_hooks_->InstallReplicatedStub(stub_template);
-    }
-  }
+  ApplyPiggyback(grant.piggyback, msg.src);
   // Figure 3, case (d): if an object referenced by the granted object was
   // copied to to-space *here* before the acquire, rewrite the incoming
   // references to point at the to-space copy directly.
-  for (size_t i = 0; i < grant.header.size_slots; ++i) {
-    if (i >= grant.slot_is_ref.size() || grant.slot_is_ref[i] == 0) {
+  for (size_t i = 0; i < object.header.size_slots; ++i) {
+    if (i >= object.slot_is_ref.size() || object.slot_is_ref[i] == 0) {
       continue;
     }
-    Gaddr value = store_->ReadSlot(grant.addr, i);
+    Gaddr value = store_->ReadSlot(object.addr, i);
     if (value == kNullAddr) {
       continue;
     }
     Gaddr resolved = ResolveAddr(value);
     if (resolved != value) {
-      store_->WriteSlot(grant.addr, i, resolved);
+      store_->WriteSlot(object.addr, i, resolved);
     }
   }
   // Invariant 1: the address the acquire named must be valid here — bridge
   // it to the granted location if local resolution cannot reach it yet.
   if (wait_active_ && wait_addr_ != kNullAddr) {
     Gaddr reached = ResolveAddr(wait_addr_);
-    if (reached != grant.addr && !store_->HasObjectAt(reached)) {
-      AddStaleForward(reached, grant.addr);
+    if (reached != object.addr && !store_->HasObjectAt(reached)) {
+      AddStaleForward(reached, object.addr);
     }
-    wait_addr_ = kNullAddr;
   }
   // Only an in-flight acquire completes a wait; a stale or redelivered grant
   // (crash-recovery replay to a fresh incarnation) still installed usable
   // bytes above but must not fabricate a completed acquire.
   if (wait_active_) {
-    wait_complete_ = true;
-    wait_active_ = false;
-    network_->obligations().Close(ObligationKind::kAcquire, id_, 0);
+    EndAcquireWait(true);
   }
   Redispatch(grant.oid);
 }
 
 void DsmNode::HandleInvalidate(const Message& msg) {
-  const auto& inval = static_cast<const InvalidatePayload&>(*msg.payload);
-  Oid oid = inval.oid;
-  auto existing = tokens_.find(oid);
-  if (existing == tokens_.end()) {
-    // We already dropped every trace of this object (replica swept); ack
-    // without resurrecting a hintless token entry.
-    auto ack = std::make_shared<InvalidateAckPayload>();
-    ack->oid = oid;
-    network_->Send(id_, msg.src, std::move(ack));
-    return;
-  }
-  TokenInfo& t = existing->second;
-  if (t.state == TokenState::kNone && t.copyset.empty()) {
+  Oid oid = static_cast<const InvalidatePayload&>(*msg.payload).oid;
+  const TokenInfo* t = FindToken(oid);
+  if (t == nullptr || (t->state == TokenState::kNone && t->copyset.empty())) {
+    // Nothing to pull: no copy here and none granted onward — or every trace
+    // of the object is already gone (replica swept), and acking must not
+    // resurrect a hintless token entry.
     auto ack = std::make_shared<InvalidateAckPayload>();
     ack->oid = oid;
     network_->Send(id_, msg.src, std::move(ack));
@@ -949,39 +934,41 @@ void DsmNode::HandlePush(const Message& msg) {
   const auto& push = static_cast<const ObjectPushPayload&>(*msg.payload);
   FAULT_POINT("dsm.push.pre_apply", id_);
   if (push.has_object) {
-    InstallObjectBytes(push.oid, push.bunch, push.addr, push.header, push.slots,
-                       push.slot_is_ref);
+    InstallObjectBytes(push.oid, push.bunch, push.object);
     TokenInfo& t = InfoOf(push.oid);
     t.bunch = push.bunch;
     if (t.owner_hint == kInvalidNode && !t.owner) {
       t.owner_hint = msg.src;
     }
   }
-  ApplyAddressUpdates(push.piggyback.updates, msg.src);
+  ApplyPiggyback(push.piggyback, msg.src);
+}
+
+void DsmNode::ApplyPiggyback(const Piggyback& piggyback, NodeId from) {
+  ApplyAddressUpdates(piggyback.updates, from);
   if (gc_hooks_ != nullptr) {
-    for (const IntraSspRequest& request : push.piggyback.intra_ssp_requests) {
+    for (const IntraSspRequest& request : piggyback.intra_ssp_requests) {
       gc_hooks_->CreateIntraStub(request);
     }
-    for (const InterStubTemplate& stub_template : push.piggyback.replicated_stubs) {
+    for (const InterStubTemplate& stub_template : piggyback.replicated_stubs) {
       gc_hooks_->InstallReplicatedStub(stub_template);
     }
   }
 }
 
-void DsmNode::InstallObjectBytes(Oid oid, BunchId bunch, Gaddr addr, const ObjectHeader& header,
-                                 const std::vector<uint64_t>& slots,
-                                 const std::vector<uint8_t>& slot_is_ref) {
+void DsmNode::InstallObjectBytes(Oid oid, BunchId bunch, const ObjectImage& object) {
   // Receiving bytes of a bunch's object makes this node a replica holder:
   // reachability tables and eager-update broadcasts must reach it.
   directory_->NoteMapped(bunch, id_);
+  const Gaddr addr = object.addr;
   SegmentImage& image = store_->GetOrCreate(SegmentOf(addr), bunch);
-  ObjectHeader h = header;
+  ObjectHeader h = object.header;
   h.flags &= ~kObjFlagForwarded;
   h.forward = kNullAddr;
-  image.InstallObject(addr, h, slots.empty() ? nullptr : slots.data());
+  image.InstallObject(addr, h, object.slots.empty() ? nullptr : object.slots.data());
   size_t first_slot = image.SlotIndexOf(addr);
-  for (size_t i = 0; i < slot_is_ref.size(); ++i) {
-    if (slot_is_ref[i] != 0) {
+  for (size_t i = 0; i < object.slot_is_ref.size(); ++i) {
+    if (object.slot_is_ref[i] != 0) {
       image.ref_map().Set(first_slot + i);
     } else {
       image.ref_map().Clear(first_slot + i);
@@ -1008,11 +995,11 @@ void DsmNode::ApplyAddressUpdates(const std::vector<AddressUpdate>& updates, Nod
   // every node in its local copy-set for the object.
   std::map<NodeId, std::vector<AddressUpdate>> fanout;
   for (const AddressUpdate& update : updates) {
-    auto it = tokens_.find(update.oid);
-    if (it == tokens_.end()) {
+    const TokenInfo* t = FindToken(update.oid);
+    if (t == nullptr) {
       continue;
     }
-    for (NodeId child : it->second.copyset) {
+    for (NodeId child : t->copyset) {
       if (child != from) {
         fanout[child].push_back(update);
       }
@@ -1031,16 +1018,7 @@ void DsmNode::ApplyOneAddressUpdate(const AddressUpdate& update) {
   // that hears of a move remembers it, so the full address chain accumulates
   // along ownership transfers and future grants can resolve arbitrarily old
   // addresses (invariant 1 for requesters that synchronized long ago).
-  auto& history = move_history_[update.oid];
-  bool seen = false;
-  for (const AddressUpdate& entry : history) {
-    if (entry.old_addr == update.old_addr) {
-      seen = true;
-      break;
-    }
-  }
-  if (!seen) {
-    history.push_back(update);
+  if (move_history_[update.oid].Add(update.bunch, update.old_addr, update.new_addr)) {
     // First time this node learns of the move: a client-observable flip.
     RecordGcFlip(update.oid, update.old_addr, update.new_addr);
   }
@@ -1098,9 +1076,8 @@ void DsmNode::ApplyOneAddressUpdate(const AddressUpdate& update) {
     // own replica from the local tracer.
     AddStaleForward(src, target);
   }
-  auto it = tokens_.find(update.oid);
-  if (it != tokens_.end()) {
-    it->second.bunch = update.bunch;
+  if (TokenInfo* t = FindToken(update.oid)) {
+    t->bunch = update.bunch;
   }
   if (gc_hooks_ != nullptr) {
     gc_hooks_->OnAddressUpdate(update);
@@ -1112,12 +1089,7 @@ void DsmNode::PushObject(NodeId dst, Oid oid, const Piggyback& piggyback) {
   push->oid = oid;
   push->bunch = BunchOf(oid);
   push->has_object = true;
-  GrantPayload scratch;
-  FillObjectBytes(oid, &scratch);
-  push->addr = scratch.addr;
-  push->header = scratch.header;
-  push->slots = std::move(scratch.slots);
-  push->slot_is_ref = std::move(scratch.slot_is_ref);
+  push->object = CaptureLocalCopy(oid);
   push->piggyback = piggyback;
   stats_.pushes_sent++;
   network_->Send(id_, dst, std::move(push));

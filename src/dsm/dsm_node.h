@@ -24,6 +24,7 @@
 #ifndef SRC_DSM_DSM_NODE_H_
 #define SRC_DSM_DSM_NODE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -152,10 +153,7 @@ class DsmNode : public MessageHandler {
   // "Locally owned: the node holds the write token or was the last to hold
   // it" (§4.2).  Only such objects may be copied by the local BGC.
   bool IsLocallyOwned(Oid oid) const;
-  bool Knows(Oid oid) const {
-    GlobalPerfCounters().token_probes++;
-    return tokens_.count(oid) > 0;
-  }
+  bool Knows(Oid oid) const { return FindToken(oid) != nullptr; }
   TokenState StateOf(Oid oid) const;
   bool IsHeld(Oid oid) const;
   NodeId OwnerHint(Oid oid) const;
@@ -182,17 +180,16 @@ class DsmNode : public MessageHandler {
   // token transfer; reclamation path (§4.5).
   void PushObject(NodeId dst, Oid oid, const Piggyback& piggyback);
 
-  // Builds invariant-1 address updates for a grant of `oid`: the object's own
-  // new location plus new locations of every object it directly references.
+  // Builds invariant-1 address updates for a grant of `oid`: the move chain
+  // of the object and of every object it directly references, each shipped
+  // once, as one update per old address aimed at the latest address.
   std::vector<AddressUpdate> BuildInvariant1Updates(Oid oid) const;
 
-  // Installs raw object bytes at `addr` (mapping the segment if necessary)
-  // without touching token state.  Used when applying grants, pushes and
-  // from-space copy replies.  Leaves a forwarding header at any previously
-  // known local address of the object.
-  void InstallObjectBytes(Oid oid, BunchId bunch, Gaddr addr, const ObjectHeader& header,
-                          const std::vector<uint64_t>& slots,
-                          const std::vector<uint8_t>& slot_is_ref);
+  // Installs an object image at its address (mapping the segment if
+  // necessary) without touching token state.  Used when applying grants,
+  // pushes, from-space copy replies and recovery replies.  Leaves a
+  // forwarding header at any previously known local address of the object.
+  void InstallObjectBytes(Oid oid, BunchId bunch, const ObjectImage& object);
 
   // Remembers old→new for an address whose from-space segment was freed
   // (§4.5): the in-heap forwarding header is gone, so the mapping lives here.
@@ -207,6 +204,9 @@ class DsmNode : public MessageHandler {
   // Follows local in-heap forwarding headers *and* stale-forward records to
   // the most current address this node can name for `addr`.
   Gaddr ResolveAddr(Gaddr addr) const;
+  // ResolveAddr of this node's oid-map entry for `oid`; kNullAddr when the
+  // oid is unknown here.
+  Gaddr ResolveOid(Oid oid) const;
 
   // Address of this node's own byte copy of the object at `addr`: the newest
   // resolvable location that actually has local bytes.  Mutator access paths
@@ -259,6 +259,28 @@ class DsmNode : public MessageHandler {
     std::set<NodeId> copyset;  // nodes we granted read tokens to
   };
 
+  // One object's move history in the form invariant 1 ships it: every
+  // address it has left, in first-seen order, and its latest address.
+  struct MoveChain {
+    BunchId bunch = kInvalidBunch;
+    std::vector<Gaddr> old_addrs;
+    Gaddr latest = kNullAddr;
+
+    // Records a move away from `old_addr` unless the chain already has that
+    // address; true when it was new.
+    bool Add(BunchId object_bunch, Gaddr old_addr, Gaddr new_addr) {
+      if (std::find(old_addrs.begin(), old_addrs.end(), old_addr) != old_addrs.end()) {
+        return false;
+      }
+      if (old_addrs.empty()) {
+        bunch = object_bunch;
+      }
+      old_addrs.push_back(old_addr);
+      latest = new_addr;
+      return true;
+    }
+  };
+
   // In-flight invalidation of the local copy-subtree for one object.
   struct InvalProgress {
     NodeId parent = kInvalidNode;  // who to ack (kInvalidNode: we initiated)
@@ -272,7 +294,18 @@ class DsmNode : public MessageHandler {
     bool for_gc = false;
   };
 
-  TokenInfo& InfoOf(Oid oid) { return tokens_[oid]; }
+  // Every token-table lookup goes through these two, so token_probes counts
+  // them all.  InfoOf creates a missing entry; FindToken returns nullptr.
+  TokenInfo& InfoOf(Oid oid) {
+    GlobalPerfCounters().token_probes++;
+    return tokens_[oid];
+  }
+  TokenInfo* FindToken(Oid oid) {
+    GlobalPerfCounters().token_probes++;
+    auto it = tokens_.find(oid);
+    return it == tokens_.end() ? nullptr : &it->second;
+  }
+  const TokenInfo* FindToken(Oid oid) const { return const_cast<DsmNode*>(this)->FindToken(oid); }
   Oid OidAt(Gaddr addr) const;  // resolves forwarding; kNullOid if no local object
   NodeId ProbableOwnerForAddr(Gaddr addr) const;
 
@@ -284,9 +317,10 @@ class DsmNode : public MessageHandler {
   // loop for the case where the first-hop target crashed before receiving
   // the request (the virtual-clock deadline satellite of the fault model).
   bool CompleteAcquire(Gaddr addr, bool write, bool for_gc);
-  // Withdraws the outstanding acquire: clears the wait flags and closes its
-  // progress obligation.
-  void AbandonAcquireWait();
+  // Ends the outstanding acquire as completed or failed: clears the wait
+  // flags and closes its progress obligation.  wait_target_ is kept:
+  // CompleteAcquire credits the first hop after a completed wait.
+  void EndAcquireWait(bool completed);
 
   void HandleAcquire(const Message& msg);
   void HandleGrant(const Message& msg);
@@ -300,12 +334,15 @@ class DsmNode : public MessageHandler {
   void FinishWriteGrant(Oid oid);
   void SendReadGrant(Oid oid, NodeId requester, bool for_gc, Gaddr byte_addr = kNullAddr);
 
-  // Fills the grant from this node's byte copy: `byte_addr` (when valid and
-  // holding bytes) or the oid map's resolution.
-  void FillObjectBytes(Oid oid, GrantPayload* grant, Gaddr byte_addr = kNullAddr) const;
+  // Image of this node's byte copy of `oid` for a grant or push: `byte_addr`
+  // (when valid and holding bytes) or the oid map's resolution.
+  ObjectImage CaptureLocalCopy(Oid oid, Gaddr byte_addr = kNullAddr) const;
   // Caps a piggyback update list at kMaxPiggybackUpdates, shipping the tail
   // to `dst` as a background address-change message.
   void SpillPiggybackOverflow(std::vector<AddressUpdate>* updates, NodeId dst);
+  // Applies what a grant or push carries besides the object: address
+  // updates (forwarded down the copy-set) and SSP creation requests.
+  void ApplyPiggyback(const Piggyback& piggyback, NodeId from);
   void ApplyOneAddressUpdate(const AddressUpdate& update);
   void Defer(Oid oid, const Message& msg);
   void Redispatch(Oid oid);
@@ -322,10 +359,10 @@ class DsmNode : public MessageHandler {
   // determinism audit for this flattening: protocol messages never depend on
   // the iteration order of these four tables.
   std::unordered_map<Oid, TokenInfo> tokens_;
-  // Per-object history of local moves (old→new address), appended by
-  // RecordLocalMove and shipped in invariant-1 piggybacks so that receivers
-  // that missed intermediate moves can still chain to the current address.
-  std::unordered_map<Oid, std::vector<AddressUpdate>> move_history_;
+  // Per-object move chains, grown by RecordLocalMove and by every address
+  // update this node hears, and shipped in invariant-1 piggybacks so that
+  // receivers that missed intermediate moves still reach the current address.
+  std::unordered_map<Oid, MoveChain> move_history_;
   // Iterated by the GC (BGC roots, scion cleaner, reclaim notify) — the
   // order reaches protocol messages, so this one stays ordered.
   std::map<BunchId, std::map<Oid, std::set<NodeId>>> entering_;

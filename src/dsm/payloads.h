@@ -40,12 +40,10 @@ struct GrantPayload : public Payload {
   bool denied = false;
   Oid oid = kNullOid;
   BunchId bunch = kInvalidBunch;
-  Gaddr addr = kNullAddr;  // object's current (possibly post-GC) address
   bool write = false;
   NodeId granter_owner_hint = kInvalidNode;  // probable owner after this grant
-  ObjectHeader header;
-  std::vector<uint64_t> slots;
-  std::vector<uint8_t> slot_is_ref;
+  // object.addr is the object's current (possibly post-GC) address.
+  ObjectImage object;
   std::set<NodeId> entering_transfer;  // write grants: entering ownerPtr set
   Piggyback piggyback;
   bool for_gc = false;
@@ -55,8 +53,7 @@ struct GrantPayload : public Payload {
     return for_gc ? MsgCategory::kGcForeground : MsgCategory::kDsm;
   }
   size_t WireSize() const override {
-    return 40 + slots.size() * kSlotBytes + slot_is_ref.size() + entering_transfer.size() * 4 +
-           piggyback.WireSize();
+    return 40 + object.SlotWireBytes() + entering_transfer.size() * 4 + piggyback.WireSize();
   }
 };
 
@@ -81,18 +78,14 @@ struct InvalidateAckPayload : public Payload {
 struct ObjectPushPayload : public Payload {
   Oid oid = kNullOid;
   BunchId bunch = kInvalidBunch;
-  Gaddr addr = kNullAddr;
   bool has_object = false;
-  ObjectHeader header;
-  std::vector<uint64_t> slots;
-  std::vector<uint8_t> slot_is_ref;
+  ObjectImage object;
   Piggyback piggyback;
 
   MsgKind kind() const override { return MsgKind::kObjectPush; }
   MsgCategory category() const override { return MsgCategory::kDsm; }
   size_t WireSize() const override {
-    return 24 + (has_object ? kHeaderBytes + slots.size() * kSlotBytes + slot_is_ref.size() : 0) +
-           piggyback.WireSize();
+    return 24 + (has_object ? kHeaderBytes + object.SlotWireBytes() : 0) + piggyback.WireSize();
   }
 };
 

@@ -11,10 +11,8 @@
 #define SRC_DSM_PIGGYBACK_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "src/common/perf_counters.h"
 #include "src/common/types.h"
 
 namespace bmx {
@@ -27,9 +25,9 @@ inline constexpr size_t kIntraSspRequestWireBytes = 16;  // oid + bunch + node
 inline constexpr size_t kInterStubTemplateWireBytes = 28;  // full descriptor
 
 // Cap on AddressUpdates one piggyback may carry (≈7 KiB of updates).  A grant
-// whose coalesced update list still exceeds this ships the head inline and
-// spills the tail into a background address-change message: the consistency
-// reply stays bounded, the information still arrives off the critical path.
+// whose update list exceeds this ships the head inline and spills the tail
+// into a background address-change message: the consistency reply stays
+// bounded, the information still arrives off the critical path.
 inline constexpr size_t kMaxPiggybackUpdates = 256;
 
 // "Object with oid moved from old_addr to new_addr."  Receivers holding a
@@ -78,50 +76,6 @@ struct Piggyback {
            replicated_stubs.size() * kInterStubTemplateWireBytes;
   }
 };
-
-// Collapses an update list before it is piggybacked (last-write-wins over
-// move_history_ chains): duplicate (oid, old_addr) entries — e.g. an object
-// referencing the same moved target from several slots — are dropped, and
-// every surviving entry of an oid is pointed at that oid's final location, so
-// a receiver reaches the newest address in one hop per stale address instead
-// of walking the chain.  One entry per distinct old address is preserved:
-// receivers holding bytes at *any* intermediate address still relocate.
-// Returns the number of entries dropped.
-inline size_t CoalesceAddressUpdates(std::vector<AddressUpdate>* updates) {
-  if (updates->size() < 2) {
-    return 0;
-  }
-  std::vector<AddressUpdate> kept;
-  kept.reserve(updates->size());
-  for (const AddressUpdate& u : *updates) {
-    bool dup = false;
-    for (const AddressUpdate& k : kept) {
-      if (k.oid == u.oid && k.old_addr == u.old_addr) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      kept.push_back(u);
-    }
-  }
-  for (AddressUpdate& k : kept) {
-    // Histories are chronological per oid: the last entry names the final
-    // location.
-    for (auto it = updates->rbegin(); it != updates->rend(); ++it) {
-      if (it->oid == k.oid) {
-        k.new_addr = it->new_addr;
-        break;
-      }
-    }
-  }
-  size_t dropped = updates->size() - kept.size();
-  auto& perf = GlobalPerfCounters();
-  perf.piggyback_updates_coalesced += dropped;
-  perf.piggyback_bytes_saved += dropped * kAddressUpdateWireBytes;
-  *updates = std::move(kept);
-  return dropped;
-}
 
 }  // namespace bmx
 

@@ -47,9 +47,8 @@ void GcEngine::Collect(const std::vector<BunchId>& group, bool exclude_intra_gro
   }
   FAULT_POINT("bgc.collect.pre_trace", id_);
   TraceResult live = Trace(group, exclude_intra_group_scions);
-  std::vector<AddressUpdate> moves;
   for (BunchId bunch : group) {
-    CopyOwnedLive(bunch, &live, &moves);
+    CopyOwnedLive(bunch, &live);
   }
   UpdateLocalReferences(group, live);
   for (BunchId bunch : group) {
@@ -169,26 +168,12 @@ GcEngine::TraceResult GcEngine::Trace(const std::vector<BunchId>& group,
   return result;
 }
 
-void GcEngine::CopyOwnedLive(BunchId bunch, TraceResult* live, std::vector<AddressUpdate>* moves) {
+void GcEngine::CopyOwnedLive(BunchId bunch, TraceResult* live) {
   BunchState& state = StateOf(bunch);
   std::vector<SegmentId> old_segments = store_->SegmentsOfBunch(bunch);
-
-  SegmentId to_space = kInvalidSegment;
-  std::vector<SegmentId> new_spaces;
-  auto allocate_to_space = [&](Oid oid, uint32_t size_slots) -> Gaddr {
-    if (to_space != kInvalidSegment) {
-      Gaddr addr = store_->Find(to_space)->Allocate(oid, size_slots);
-      if (addr != kNullAddr) {
-        return addr;
-      }
-    }
-    to_space = directory_->AllocateSegment(bunch, id_);
-    new_spaces.push_back(to_space);
-    SegmentImage& image = store_->GetOrCreate(to_space, bunch);
-    Gaddr addr = image.Allocate(oid, size_slots);
-    BMX_CHECK_NE(addr, kNullAddr);
-    return addr;
-  };
+  // Every segment the bunch has now flips to from-space, so copies land in a
+  // fresh to-space.
+  std::set<SegmentId> flipping(old_segments.begin(), old_segments.end());
 
   for (SegmentId seg : old_segments) {
     SegmentImage* image = store_->Find(seg);
@@ -211,44 +196,25 @@ void GcEngine::CopyOwnedLive(BunchId bunch, TraceResult* live, std::vector<Addre
         stats_.objects_scanned++;
         continue;
       }
-      Gaddr new_addr = allocate_to_space(oid, header->size_slots);
-      store_->CopyObjectBytes(addr, new_addr);
-      // Non-destructive copy: the old data stays intact behind a forwarding
-      // header (O'Toole-style, §4.1), deleted only at from-space reclamation.
-      header->flags |= kObjFlagForwarded;
-      header->forward = new_addr;
-      dsm_->RecordLocalMove(oid, addr, new_addr, bunch);
-      AddressUpdate update{oid, bunch, addr, new_addr};
-      moves->push_back(update);
-      OnAddressUpdate(update);  // refresh stub/scion target addresses
+      Gaddr new_addr = RelocateOwned(bunch, addr, header, flipping);
       if (live->strong.count(addr) > 0) {
         live->strong.insert(new_addr);
       } else {
         live->weak_only.insert(new_addr);
       }
-      stats_.objects_copied++;
       stats_.bytes_copied += ObjectFootprintBytes(header->size_slots);
     }
   }
 
-  if (to_space == kInvalidSegment && !old_segments.empty()) {
+  if (!old_segments.empty() && (state.alloc_segment == kInvalidSegment ||
+                                flipping.count(state.alloc_segment) > 0)) {
     // Nothing was copied (e.g. a replica that owns no object), but the flip
     // still happens: old segments become from-space so §4.5 reclamation can
     // eventually free them; allocation continues in a fresh to-space.
-    to_space = directory_->AllocateSegment(bunch, id_);
-    store_->GetOrCreate(to_space, bunch);
-    new_spaces.push_back(to_space);
-  }
-  if (to_space != kInvalidSegment) {
-    state.alloc_segment = to_space;
+    state.alloc_segment = directory_->AllocateSegment(bunch, id_);
+    store_->GetOrCreate(state.alloc_segment, bunch);
   }
   for (SegmentId seg : old_segments) {
-    if (seg == state.alloc_segment) {
-      continue;
-    }
-    if (std::find(new_spaces.begin(), new_spaces.end(), seg) != new_spaces.end()) {
-      continue;
-    }
     if (std::find(state.from_spaces.begin(), state.from_spaces.end(), seg) ==
         state.from_spaces.end()) {
       state.from_spaces.push_back(seg);
@@ -311,8 +277,7 @@ void GcEngine::SweepDead(BunchId bunch, const TraceResult& live) {
       // an object whose canonical local copy lives elsewhere.  Sweeping the
       // orphan must not destroy the object's token state: erase the bytes,
       // leave a stale-forward to the canonical copy, and move on.
-      Gaddr canonical = store_->AddrOfOid(oid);
-      Gaddr canonical_resolved = canonical == kNullAddr ? kNullAddr : dsm_->ResolveAddr(canonical);
+      Gaddr canonical_resolved = dsm_->ResolveOid(oid);
       if (canonical_resolved != kNullAddr && canonical_resolved != addr &&
           store_->HasObjectAt(canonical_resolved)) {
         image->EraseObject(addr);
@@ -346,12 +311,8 @@ void GcEngine::RebuildTables(BunchId bunch, const TraceResult& live) {
   // reference was *created*, so a pure filter of the old table is complete.
   std::vector<InterStub> inter;
   for (InterStub stub : state.inter_stubs) {
-    Gaddr src = store_->AddrOfOid(stub.src_oid);
-    if (src == kNullAddr) {
-      continue;
-    }
-    src = dsm_->ResolveAddr(src);
-    if (!live.Live(src)) {
+    Gaddr src = dsm_->ResolveOid(stub.src_oid);
+    if (src == kNullAddr || !live.Live(src)) {
       continue;
     }
     const ObjectHeader* header = store_->HeaderOf(src);
@@ -372,8 +333,8 @@ void GcEngine::RebuildTables(BunchId bunch, const TraceResult& live) {
   // chains (new owner → older owner → oldest stub holder) connected.
   std::vector<IntraStub> intra;
   for (const IntraStub& stub : state.intra_stubs) {
-    Gaddr addr = store_->AddrOfOid(stub.oid);
-    if (addr != kNullAddr && live.Live(dsm_->ResolveAddr(addr))) {
+    Gaddr addr = dsm_->ResolveOid(stub.oid);
+    if (addr != kNullAddr && live.Live(addr)) {
       intra.push_back(stub);
     }
   }

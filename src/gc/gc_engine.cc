@@ -50,28 +50,47 @@ void GcEngine::RemoveRootProvider(RootProvider* provider) {
 }
 
 Gaddr GcEngine::Allocate(BunchId bunch, uint32_t size_slots) {
-  BunchState& state = StateOf(bunch);
   Oid oid = directory_->NextOid();
-  Gaddr addr = kNullAddr;
-  if (state.alloc_segment != kInvalidSegment) {
-    SegmentImage* image = store_->Find(state.alloc_segment);
-    BMX_CHECK(image != nullptr);
-    addr = image->Allocate(oid, size_slots);
-  }
-  if (addr == kNullAddr) {
-    // Segment overflow (or first allocation): grow the bunch — this is why
-    // segments are grouped into bunches at all (§2.1).
-    SegmentId seg = directory_->AllocateSegment(bunch, id_);
-    SegmentImage& image = store_->GetOrCreate(seg, bunch);
-    state.alloc_segment = seg;
-    addr = image.Allocate(oid, size_slots);
-    BMX_CHECK_NE(addr, kNullAddr) << "object larger than a segment";
-  }
+  Gaddr addr = AllocateInBunch(bunch, oid, size_slots, /*avoid=*/{});
   dsm_->RegisterNewObject(oid, addr, bunch);
   // Crash here and the directory names a dead node as owner of an object
   // that was never checkpointed; recovery must drop the vacuous ownership.
   FAULT_POINT("gc.alloc.post_register", id_);
   return addr;
+}
+
+Gaddr GcEngine::AllocateInBunch(BunchId bunch, Oid oid, uint32_t size_slots,
+                                const std::set<SegmentId>& avoid) {
+  BunchState& state = StateOf(bunch);
+  if (state.alloc_segment != kInvalidSegment && avoid.count(state.alloc_segment) == 0) {
+    SegmentImage* image = store_->Find(state.alloc_segment);
+    BMX_CHECK(image != nullptr);
+    Gaddr addr = image->Allocate(oid, size_slots);
+    if (addr != kNullAddr) {
+      return addr;
+    }
+  }
+  // Grow the bunch — this is why segments are grouped into bunches at all
+  // (§2.1).
+  state.alloc_segment = directory_->AllocateSegment(bunch, id_);
+  Gaddr addr = store_->GetOrCreate(state.alloc_segment, bunch).Allocate(oid, size_slots);
+  BMX_CHECK_NE(addr, kNullAddr) << "object larger than a segment";
+  return addr;
+}
+
+Gaddr GcEngine::RelocateOwned(BunchId bunch, Gaddr addr, ObjectHeader* header,
+                              const std::set<SegmentId>& avoid) {
+  Oid oid = header->oid;
+  Gaddr new_addr = AllocateInBunch(bunch, oid, header->size_slots, avoid);
+  store_->CopyObjectBytes(addr, new_addr);
+  // Non-destructive copy: the old data stays intact behind a forwarding
+  // header (O'Toole-style, §4.1), deleted only at from-space reclamation.
+  header->flags |= kObjFlagForwarded;
+  header->forward = new_addr;
+  dsm_->RecordLocalMove(oid, addr, new_addr, bunch);
+  OnAddressUpdate(AddressUpdate{oid, bunch, addr, new_addr});
+  stats_.objects_copied++;
+  return new_addr;
 }
 
 void GcEngine::WriteRef(Gaddr obj_addr, size_t slot, Gaddr target) {
@@ -145,28 +164,25 @@ bool GcEngine::SameObject(Gaddr a, Gaddr b) const {
 }
 
 void GcEngine::CreateInterSsp(Gaddr src_obj, size_t slot, Gaddr target) {
-  const ObjectHeader* src_header = store_->HeaderOf(src_obj);
+  Oid src_oid = store_->HeaderOf(src_obj)->oid;
   BunchId src_bunch = directory_->BunchOfSegment(SegmentOf(src_obj));
   Gaddr target_resolved = dsm_->ResolveAddr(target);
   BunchId target_bunch = directory_->BunchOfSegment(SegmentOf(target_resolved));
-  BunchState& state = StateOf(src_bunch);
-
-  // One SSP per live reference is enough; re-storing the same target into the
-  // same slot must not grow the tables.
-  for (const InterStub& stub : state.inter_stubs) {
-    if (stub.src_oid == src_header->oid && stub.slot == slot &&
-        dsm_->ResolveAddr(stub.target_addr) == target_resolved) {
-      return;
-    }
-  }
-
-  InstallInterStub(src_header->oid, static_cast<uint32_t>(slot), src_bunch, target_resolved,
+  InstallInterStub(src_oid, static_cast<uint32_t>(slot), src_bunch, target_resolved,
                    target_bunch);
 }
 
 void GcEngine::InstallInterStub(Oid src_oid, uint32_t slot, BunchId src_bunch, Gaddr target_addr,
                                 BunchId target_bunch) {
   BunchState& state = StateOf(src_bunch);
+  // One SSP per live reference is enough; re-storing the same target into the
+  // same slot, or replicating a stub twice, must not grow the tables.
+  for (const InterStub& existing : state.inter_stubs) {
+    if (existing.src_oid == src_oid && existing.slot == slot &&
+        dsm_->ResolveAddr(existing.target_addr) == target_addr) {
+      return;
+    }
+  }
   InterStub stub;
   stub.id = next_stub_id_++;
   stub.src_oid = src_oid;
@@ -254,37 +270,31 @@ void GcEngine::PrepareOwnershipTransfer(Oid oid, BunchId bunch, NodeId new_owner
 
   // Invariant 3 (§5), the paper's design: create the intra-bunch scion
   // locally *before* the write grant leaves, and ask the new owner to create
-  // the matching stub.
-  BunchState& mutable_state = StateOf(bunch);
+  // the matching stub (idempotent there, even if we were already linked).
+  AddIntraScion(oid, bunch, new_owner);
   IntraSspRequest request;
   request.oid = oid;
   request.bunch = bunch;
   request.scion_node = id_;
-  for (const IntraScion& scion : mutable_state.intra_scions) {
-    if (scion.oid == oid && scion.stub_node == new_owner) {
-      // Already linked from that node; still ask for the (idempotent) stub.
-      piggyback->intra_ssp_requests.push_back(request);
+  piggyback->intra_ssp_requests.push_back(request);
+}
+
+void GcEngine::AddIntraScion(Oid oid, BunchId bunch, NodeId stub_node) {
+  BunchState& state = StateOf(bunch);
+  for (const IntraScion& scion : state.intra_scions) {
+    if (scion.oid == oid && scion.stub_node == stub_node) {
       return;
     }
   }
   IntraScion scion;
   scion.oid = oid;
   scion.bunch = bunch;
-  scion.stub_node = new_owner;
-  mutable_state.intra_scions.push_back(scion);
+  scion.stub_node = stub_node;
+  state.intra_scions.push_back(scion);
   stats_.intra_scions_created++;
-  piggyback->intra_ssp_requests.push_back(request);
 }
 
 void GcEngine::InstallReplicatedStub(const InterStubTemplate& stub_template) {
-  // Dedupe against an existing equivalent stub (repeat transfers).
-  const BunchState& state = StateOf(stub_template.src_bunch);
-  for (const InterStub& stub : state.inter_stubs) {
-    if (stub.src_oid == stub_template.src_oid && stub.slot == stub_template.slot &&
-        dsm_->ResolveAddr(stub.target_addr) == dsm_->ResolveAddr(stub_template.target_addr)) {
-      return;
-    }
-  }
   InstallInterStub(stub_template.src_oid, stub_template.slot, stub_template.src_bunch,
                    dsm_->ResolveAddr(stub_template.target_addr), stub_template.target_bunch);
 }
@@ -350,18 +360,22 @@ void GcEngine::HandleMessage(const Message& msg) {
 
 void GcEngine::HandleScionMessage(const Message& msg) {
   const auto& req = static_cast<const ScionMessagePayload&>(*msg.payload);
-  RegisterBunchReplica(req.target_bunch);
-  BunchState& state = StateOf(req.target_bunch);
+  AddInterScion(req.src_node, req.stub_id, req.src_bunch, req.target_addr, req.target_bunch);
+}
+
+void GcEngine::AddInterScion(NodeId src_node, uint64_t stub_id, BunchId src_bunch,
+                             Gaddr target_addr, BunchId target_bunch) {
+  BunchState& state = StateOf(target_bunch);
   for (const InterScion& scion : state.inter_scions) {
-    if (scion.stub_id == req.stub_id && scion.src_node == req.src_node) {
+    if (scion.stub_id == stub_id && scion.src_node == src_node) {
       return;  // duplicate
     }
   }
   InterScion scion;
-  scion.stub_id = req.stub_id;
-  scion.src_node = req.src_node;
-  scion.src_bunch = req.src_bunch;
-  scion.target_addr = dsm_->ResolveAddr(req.target_addr);
+  scion.stub_id = stub_id;
+  scion.src_node = src_node;
+  scion.src_bunch = src_bunch;
+  scion.target_addr = dsm_->ResolveAddr(target_addr);
   state.inter_scions.push_back(scion);
   stats_.inter_scions_created++;
 }
@@ -468,49 +482,6 @@ void GcEngine::RebuildSspsFromHeap(BunchId bunch) {
       });
     });
   }
-}
-
-void GcEngine::RestoreInterScion(NodeId src_node, uint64_t stub_id, BunchId src_bunch,
-                                 Gaddr target_addr, BunchId target_bunch) {
-  RegisterBunchReplica(target_bunch);
-  BunchState& state = StateOf(target_bunch);
-  for (const InterScion& scion : state.inter_scions) {
-    if (scion.stub_id == stub_id && scion.src_node == src_node) {
-      return;
-    }
-  }
-  InterScion scion;
-  scion.stub_id = stub_id;
-  scion.src_node = src_node;
-  scion.src_bunch = src_bunch;
-  scion.target_addr = dsm_->ResolveAddr(target_addr);
-  state.inter_scions.push_back(scion);
-  stats_.inter_scions_created++;
-}
-
-void GcEngine::RestoreIntraScion(Oid oid, BunchId bunch, NodeId stub_node) {
-  RegisterBunchReplica(bunch);
-  BunchState& state = StateOf(bunch);
-  for (const IntraScion& scion : state.intra_scions) {
-    if (scion.oid == oid && scion.stub_node == stub_node) {
-      return;
-    }
-  }
-  IntraScion scion;
-  scion.oid = oid;
-  scion.bunch = bunch;
-  scion.stub_node = stub_node;
-  state.intra_scions.push_back(scion);
-  stats_.intra_scions_created++;
-}
-
-void GcEngine::RestoreIntraStub(Oid oid, BunchId bunch, NodeId scion_node) {
-  RegisterBunchReplica(bunch);
-  IntraSspRequest request;
-  request.oid = oid;
-  request.bunch = bunch;
-  request.scion_node = scion_node;
-  CreateIntraStub(request);  // dedupes internally
 }
 
 std::vector<BunchId> GcEngine::ReplicaBunches() const {

@@ -139,12 +139,12 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
   // scion-message).  The previous life's scions at peers become conservative
   // slack until the first post-recovery reachability table retires them.
   void RebuildSspsFromHeap(BunchId bunch);
-  // Recovering side: re-adopt SSP endpoints that peers report still holding
-  // the matching half (all idempotent).
-  void RestoreInterScion(NodeId src_node, uint64_t stub_id, BunchId src_bunch, Gaddr target_addr,
-                         BunchId target_bunch);
-  void RestoreIntraScion(Oid oid, BunchId bunch, NodeId stub_node);
-  void RestoreIntraStub(Oid oid, BunchId bunch, NodeId scion_node);
+  // Adds the scion half of an SSP unless it is already there: for a received
+  // scion-message (inter), for an outgoing ownership transfer (intra), and
+  // when a recovering node re-adopts scions whose stubs peers still hold.
+  void AddInterScion(NodeId src_node, uint64_t stub_id, BunchId src_bunch, Gaddr target_addr,
+                     BunchId target_bunch);
+  void AddIntraScion(Oid oid, BunchId bunch, NodeId stub_node);
   // Bunches this node holds a replica of (sorted; recovery query content).
   std::vector<BunchId> ReplicaBunches() const;
 
@@ -249,7 +249,7 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
   // references whose bytes are absent locally.
   void MarkFrom(Gaddr root, const std::set<BunchId>& group, std::set<Gaddr>* marked,
                 std::set<Gaddr>* dangling);
-  void CopyOwnedLive(BunchId bunch, TraceResult* live, std::vector<AddressUpdate>* moves);
+  void CopyOwnedLive(BunchId bunch, TraceResult* live);
   void UpdateLocalReferences(const std::vector<BunchId>& group, const TraceResult& live);
   void SweepDead(BunchId bunch, const TraceResult& live);
   void RebuildTables(BunchId bunch, const TraceResult& live);
@@ -257,15 +257,22 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
 
   void CreateInterSsp(Gaddr src_obj, size_t slot, Gaddr target);
   // Creates an inter-bunch stub (fresh id) for the given descriptor and the
-  // matching scion (locally or via scion-message).  Shared by the write
-  // barrier and the replicate-on-transfer ablation policy.
+  // matching scion (locally or via scion-message), unless an equivalent stub
+  // exists.  `target_addr` must be resolved.  Shared by the write barrier and
+  // the replicate-on-transfer ablation policy.
   void InstallInterStub(Oid src_oid, uint32_t slot, BunchId src_bunch, Gaddr target_addr,
                         BunchId target_bunch);
-  // Space in the bunch's current allocation segment for an object being
-  // relocated out of a from-space (grows the bunch on overflow).  Never
-  // allocates inside a segment in `avoid` (segments being freed).
-  Gaddr AllocateForCopy(BunchId bunch, Oid oid, uint32_t size_slots,
+  // Space for an object in the bunch's current allocation segment.  Grows
+  // the bunch by a fresh segment on overflow, on first use, or when the
+  // current segment is in `avoid` (from-spaces being flipped or freed).
+  Gaddr AllocateInBunch(BunchId bunch, Oid oid, uint32_t size_slots,
                         const std::set<SegmentId>& avoid);
+  // Copies the locally owned object at `addr` (whose header the caller has
+  // in hand) to fresh space outside `avoid`, turns the old header into a
+  // forwarder, records the move for invariant 1 and refreshes SSP target
+  // addresses.  Returns the new address.
+  Gaddr RelocateOwned(BunchId bunch, Gaddr addr, ObjectHeader* header,
+                      const std::set<SegmentId>& avoid);
   void HandleScionMessage(const Message& msg);
   void HandleReachabilityTable(const Message& msg);
   void ApplyReachabilityTable(const ReachabilityTablePayload& table);

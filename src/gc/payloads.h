@@ -77,15 +77,10 @@ struct CopyReplyPayload : public Payload {
   uint64_t round = 0;
   Oid oid = kNullOid;
   BunchId bunch = kInvalidBunch;
-  Gaddr new_addr = kNullAddr;
-  ObjectHeader header;
-  std::vector<uint64_t> slots;
-  std::vector<uint8_t> slot_is_ref;
+  ObjectImage object;  // the owner's copy, at its new address
   MsgKind kind() const override { return MsgKind::kCopyReply; }
   MsgCategory category() const override { return MsgCategory::kGcBackground; }
-  size_t WireSize() const override {
-    return 24 + kHeaderBytes + slots.size() * kSlotBytes + slot_is_ref.size();
-  }
+  size_t WireSize() const override { return 24 + kHeaderBytes + object.SlotWireBytes(); }
 };
 
 // From-space reclamation: explicit new-location notices for nodes that would

@@ -17,25 +17,6 @@
 
 namespace bmx {
 
-Gaddr GcEngine::AllocateForCopy(BunchId bunch, Oid oid, uint32_t size_slots,
-                                const std::set<SegmentId>& avoid) {
-  BunchState& state = StateOf(bunch);
-  if (state.alloc_segment != kInvalidSegment && avoid.count(state.alloc_segment) == 0) {
-    SegmentImage* image = store_->Find(state.alloc_segment);
-    if (image != nullptr) {
-      Gaddr addr = image->Allocate(oid, size_slots);
-      if (addr != kNullAddr) {
-        return addr;
-      }
-    }
-  }
-  state.alloc_segment = directory_->AllocateSegment(bunch, id_);
-  SegmentImage& image = store_->GetOrCreate(state.alloc_segment, bunch);
-  Gaddr addr = image.Allocate(oid, size_slots);
-  BMX_CHECK_NE(addr, kNullAddr);
-  return addr;
-}
-
 void GcEngine::ReclaimFromSpaces(BunchId bunch) {
   BunchState& state = StateOf(bunch);
   if (state.from_spaces.empty()) {
@@ -88,8 +69,7 @@ void GcEngine::ReclaimFromSpaces(BunchId bunch) {
       }
       // Orphaned stale copy (the canonical local copy lives elsewhere after
       // out-of-order updates): demote it to a plain forwarder.
-      Gaddr known = store_->AddrOfOid(oid);
-      Gaddr canonical = known == kNullAddr ? kNullAddr : dsm_->ResolveAddr(known);
+      Gaddr canonical = dsm_->ResolveOid(oid);
       if (canonical != kNullAddr && canonical != addr && store_->HasObjectAt(canonical)) {
         header->flags |= kObjFlagForwarded;
         header->forward = canonical;
@@ -100,13 +80,7 @@ void GcEngine::ReclaimFromSpaces(BunchId bunch) {
         // after the BGC and the grant installed it at the old address):
         // relocate it ourselves.
         std::set<SegmentId> avoid(pending.segments.begin(), pending.segments.end());
-        Gaddr new_addr = AllocateForCopy(bunch, oid, header->size_slots, avoid);
-        store_->CopyObjectBytes(addr, new_addr);
-        header->flags |= kObjFlagForwarded;
-        header->forward = new_addr;
-        dsm_->RecordLocalMove(oid, addr, new_addr, bunch);
-        OnAddressUpdate(AddressUpdate{oid, bunch, addr, new_addr});
-        stats_.objects_copied++;
+        Gaddr new_addr = RelocateOwned(bunch, addr, header, avoid);
         notify_interested(AddressUpdate{oid, bunch, addr, new_addr});
         continue;
       }
@@ -179,20 +153,12 @@ void GcEngine::HandleCopyRequest(const Message& msg) {
     return;
   }
   BunchId bunch = dsm_->BunchOf(request.oid);
-  Gaddr current = dsm_->ResolveAddr(store_->AddrOfOid(request.oid));
+  Gaddr current = dsm_->ResolveOid(request.oid);
   std::set<SegmentId> avoid(request.freeing.begin(), request.freeing.end());
   avoid.insert(SegmentOf(request.addr));
   if (avoid.count(SegmentOf(current)) > 0) {
     // Our copy also still lives in a segment being freed: move it now.
-    ObjectHeader* header = store_->HeaderOf(current);
-    Gaddr new_addr = AllocateForCopy(bunch, request.oid, header->size_slots, avoid);
-    store_->CopyObjectBytes(current, new_addr);
-    header->flags |= kObjFlagForwarded;
-    header->forward = new_addr;
-    dsm_->RecordLocalMove(request.oid, current, new_addr, bunch);
-    OnAddressUpdate(AddressUpdate{request.oid, bunch, current, new_addr});
-    stats_.objects_copied++;
-    current = new_addr;
+    current = RelocateOwned(bunch, current, store_->HeaderOf(current), avoid);
   }
 
   // Crash here and the requester's round never completes on its own; its
@@ -203,15 +169,7 @@ void GcEngine::HandleCopyRequest(const Message& msg) {
   reply->round = request.round;
   reply->oid = request.oid;
   reply->bunch = bunch;
-  reply->new_addr = current;
-  const ObjectHeader* header = store_->HeaderOf(current);
-  reply->header = *header;
-  reply->slots.resize(header->size_slots);
-  reply->slot_is_ref.resize(header->size_slots);
-  for (size_t i = 0; i < header->size_slots; ++i) {
-    reply->slots[i] = store_->ReadSlot(current, i);
-    reply->slot_is_ref[i] = store_->SlotIsRef(current, i) ? 1 : 0;
-  }
+  reply->object = store_->CaptureObject(current);
   network_->Send(id_, request.requester, std::move(reply));
 }
 
@@ -219,9 +177,8 @@ void GcEngine::HandleCopyReply(const Message& msg) {
   const auto& reply = static_cast<const CopyReplyPayload&>(*msg.payload);
   // Installs the owner's bytes at the new address and leaves a forwarding
   // header at our old replica of the object.
-  dsm_->InstallObjectBytes(reply.oid, reply.bunch, reply.new_addr, reply.header, reply.slots,
-                           reply.slot_is_ref);
-  OnAddressUpdate(AddressUpdate{reply.oid, reply.bunch, kNullAddr, reply.new_addr});
+  dsm_->InstallObjectBytes(reply.oid, reply.bunch, reply.object);
+  OnAddressUpdate(AddressUpdate{reply.oid, reply.bunch, kNullAddr, reply.object.addr});
   auto it = pending_reclaims_.find(reply.round);
   if (it == pending_reclaims_.end() || it->second.outstanding == 0) {
     // Replayed or stale reply (e.g. redelivered after this node restarted and
@@ -285,20 +242,16 @@ void GcEngine::FinishReclaimIfDone(uint64_t round) {
     for (Gaddr addr : leftovers) {
       ObjectHeader* header = image->HeaderOf(addr);
       Oid oid = header->oid;
-      Gaddr known = store_->AddrOfOid(oid);
-      Gaddr canonical = known == kNullAddr ? kNullAddr : dsm_->ResolveAddr(known);
+      Gaddr canonical = dsm_->ResolveOid(oid);
       if (canonical != kNullAddr && canonical != addr && store_->HasObjectAt(canonical)) {
         // Orphaned stale copy; the real object lives elsewhere locally.
         dsm_->AddStaleForward(addr, canonical);
         continue;
       }
       if (dsm_->IsLocallyOwned(oid)) {
-        Gaddr new_addr = AllocateForCopy(pending.bunch, oid, header->size_slots, all);
-        store_->CopyObjectBytes(addr, new_addr);
-        dsm_->RecordLocalMove(oid, addr, new_addr, pending.bunch);
-        OnAddressUpdate(AddressUpdate{oid, pending.bunch, addr, new_addr});
-        dsm_->AddStaleForward(addr, new_addr);
-        stats_.objects_copied++;
+        // The forwarding header goes with the segment; the stale-forward
+        // record keeps the old address resolving after the free.
+        dsm_->AddStaleForward(addr, RelocateOwned(pending.bunch, addr, header, all));
         continue;
       }
       if (directory_->OwnerOf(oid) == kInvalidNode) {

@@ -14,6 +14,7 @@
 #define SRC_MEM_OBJECT_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/common/types.h"
 
@@ -42,6 +43,21 @@ inline constexpr size_t kHeaderBytes = sizeof(ObjectHeader);
 constexpr size_t ObjectFootprintBytes(uint32_t size_slots) {
   return kHeaderBytes + size_t{size_slots} * kSlotBytes;
 }
+
+// One object's bytes as a message carries them (grants, pushes, from-space
+// copy replies, recovery replies): the sender's address for it, its header,
+// its data slots and which of those hold references.
+struct ObjectImage {
+  Gaddr addr = kNullAddr;
+  ObjectHeader header;
+  std::vector<uint64_t> slots;
+  std::vector<uint8_t> slot_is_ref;
+
+  // Wire bytes of the slots and their ref bits.  The header is charged by
+  // the payload that ships it: grants do not charge it, every other
+  // object-carrying payload charges kHeaderBytes.
+  size_t SlotWireBytes() const { return slots.size() * kSlotBytes + slot_is_ref.size(); }
+};
 
 }  // namespace bmx
 

@@ -100,6 +100,22 @@ void ReplicaStore::SetSlotIsRef(Gaddr obj_addr, size_t slot, bool is_ref) {
   }
 }
 
+ObjectImage ReplicaStore::CaptureObject(Gaddr obj_addr) const {
+  const SegmentImage* image = SegmentFor(obj_addr);
+  BMX_CHECK(image != nullptr) << "segment unmapped for addr " << obj_addr;
+  ObjectImage out;
+  out.addr = obj_addr;
+  out.header = *image->HeaderOf(obj_addr);
+  const uint32_t size = out.header.size_slots;
+  // Bulk-copy the slots, then mark ref slots straight off the ref-map words.
+  const uint64_t* src = const_cast<SegmentImage*>(image)->SlotPtr(obj_addr, 0);
+  out.slots.assign(src, src + size);
+  out.slot_is_ref.assign(size, 0);
+  image->ForEachRefSlotOf(obj_addr, size,
+                          [&](size_t slot, uint64_t) { out.slot_is_ref[slot] = 1; });
+  return out;
+}
+
 Gaddr ReplicaStore::AddrOfOid(Oid oid) const {
   GlobalPerfCounters().oid_probes++;
   auto it = oid_addr_.find(oid);

@@ -85,6 +85,11 @@ class ReplicaStore {
     image->ForEachRefSlotOf(obj_addr, size_slots, static_cast<Fn&&>(fn));
   }
 
+  // Image of the object at `obj_addr`, bytes and ref bits, taken with one
+  // segment lookup and the ref-map kernel.  The header is copied as is
+  // (forwarded or not); the segment must be mapped.
+  ObjectImage CaptureObject(Gaddr obj_addr) const;
+
   // This node's current address for an object id; kNullAddr when unknown.
   Gaddr AddrOfOid(Oid oid) const;
   void SetAddrOfOid(Oid oid, Gaddr addr);

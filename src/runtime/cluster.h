@@ -31,7 +31,7 @@ struct ClusterOptions {
   size_t topology_degree = 4;  // random-regular only
   // Batched control-message transport (src/net/batch.h); disabled by default
   // — the unbatched wire is the pinned-fingerprint baseline.
-  BatchPolicy batch;
+  BatchPolicy batch = {};
 };
 
 class Cluster {

@@ -122,8 +122,7 @@ void RecoveryManager::RunRecovery() {
   // registered allocation never reached a checkpoint and no peer was ever
   // granted a copy; keeping the record would route acquires into a void.
   for (Oid oid : directory_->OwnedBy(id_)) {
-    Gaddr addr = store_->AddrOfOid(oid);
-    Gaddr resolved = addr == kNullAddr ? kNullAddr : dsm_->ResolveAddr(addr);
+    Gaddr resolved = dsm_->ResolveOid(oid);
     if (resolved != kNullAddr && store_->HasObjectAt(resolved)) {
       continue;
     }
@@ -182,21 +181,11 @@ void RecoveryManager::HandleQuery(const Message& msg) {
     e.oid = t.oid;
     e.bunch = t.bunch;
     e.has_token = t.state != TokenState::kNone;
-    Gaddr addr = store_->AddrOfOid(t.oid);
-    Gaddr resolved = addr == kNullAddr ? kNullAddr : dsm_->ResolveAddr(addr);
-    if (resolved != kNullAddr && store_->HasObjectAt(resolved)) {
-      const ObjectHeader* header = store_->HeaderOf(resolved);
-      if (!header->forwarded()) {
-        e.addr = resolved;
-        e.has_bytes = true;
-        e.header = *header;
-        e.slots.resize(header->size_slots);
-        e.slot_is_ref.assign(header->size_slots, 0);
-        for (uint32_t slot = 0; slot < header->size_slots; ++slot) {
-          e.slots[slot] = store_->ReadSlot(resolved, slot);
-          e.slot_is_ref[slot] = store_->SlotIsRef(resolved, slot) ? 1 : 0;
-        }
-      }
+    Gaddr resolved = dsm_->ResolveOid(t.oid);
+    if (resolved != kNullAddr && store_->HasObjectAt(resolved) &&
+        !store_->HeaderOf(resolved)->forwarded()) {
+      e.has_bytes = true;
+      e.object = store_->CaptureObject(resolved);
     }
     if (e.has_bytes || e.has_token) {
       reply->replicas.push_back(std::move(e));
@@ -244,14 +233,13 @@ void RecoveryManager::HandleReply(const Message& msg) {
     if (directory_->OwnerOf(e.oid) != id_) {
       continue;  // demoted by a contested entry from another peer
     }
-    Gaddr local = store_->AddrOfOid(e.oid);
-    Gaddr resolved = local == kNullAddr ? kNullAddr : dsm_->ResolveAddr(local);
+    Gaddr resolved = dsm_->ResolveOid(e.oid);
     bool have_bytes = resolved != kNullAddr && store_->HasObjectAt(resolved);
     if (!have_bytes && e.has_bytes) {
       // The peer's copy resupplies an owned object our checkpoint predates.
       gc_->RegisterBunchReplica(e.bunch);
-      dsm_->InstallObjectBytes(e.oid, e.bunch, e.addr, e.header, e.slots, e.slot_is_ref);
-      dsm_->AdoptRecoveredObject(e.oid, e.addr, e.bunch, /*owned=*/true, kInvalidNode);
+      dsm_->InstallObjectBytes(e.oid, e.bunch, e.object);
+      dsm_->AdoptRecoveredObject(e.oid, e.object.addr, e.bunch, /*owned=*/true, kInvalidNode);
     }
     if (dsm_->IsLocallyOwned(e.oid)) {
       dsm_->RestoreReaderReplica(e.oid, peer, e.has_token);
@@ -259,13 +247,13 @@ void RecoveryManager::HandleReply(const Message& msg) {
   }
 
   for (const InterScionRestore& r : reply.inter_scions) {
-    gc_->RestoreInterScion(peer, r.stub_id, r.src_bunch, r.target_addr, r.target_bunch);
+    gc_->AddInterScion(peer, r.stub_id, r.src_bunch, r.target_addr, r.target_bunch);
   }
   for (const IntraRestore& r : reply.intra_scions) {
-    gc_->RestoreIntraScion(r.oid, r.bunch, peer);
+    gc_->AddIntraScion(r.oid, r.bunch, peer);
   }
   for (const IntraRestore& r : reply.intra_stubs) {
-    gc_->RestoreIntraStub(r.oid, r.bunch, peer);
+    gc_->CreateIntraStub(IntraSspRequest{r.oid, r.bunch, peer});
   }
 }
 

@@ -64,12 +64,9 @@ struct RecoveryQueryPayload : public Payload {
 struct RecoveredReplicaEntry {
   Oid oid = kNullOid;
   BunchId bunch = kInvalidBunch;
-  Gaddr addr = kNullAddr;  // peer's current address for the object
   bool has_token = false;  // peer holds a live read/write token
   bool has_bytes = false;
-  ObjectHeader header;
-  std::vector<uint64_t> slots;
-  std::vector<uint8_t> slot_is_ref;
+  ObjectImage object;  // with has_bytes: the peer's copy, at its current address
 };
 
 // Peer-held inter-bunch stub whose scion lived on the recovering node.
@@ -105,8 +102,7 @@ struct RecoveryReplyPayload : public Payload {
     size_t bytes = 8 + contested.size() * 8 + inter_scions.size() * 24 +
                    (intra_scions.size() + intra_stubs.size()) * 12;
     for (const RecoveredReplicaEntry& e : replicas) {
-      bytes += 24 + (e.has_bytes ? kHeaderBytes + e.slots.size() * kSlotBytes + e.slot_is_ref.size()
-                                 : 0);
+      bytes += 24 + (e.has_bytes ? kHeaderBytes + e.object.SlotWireBytes() : 0);
     }
     return bytes;
   }

@@ -1,10 +1,9 @@
 // The perf-counter layer: cheap global counters bumped by the scan kernels,
-// lookup tables and piggyback coalescer, exposed through Cluster::perf().
+// lookup tables and piggyback builder, exposed through Cluster::perf().
 
 #include <gtest/gtest.h>
 
 #include "src/common/perf_counters.h"
-#include "src/dsm/piggyback.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/mutator.h"
 
@@ -68,29 +67,6 @@ TEST(PerfCountersTest, MruCacheShortCircuitsSegmentLookups) {
   const PerfCounters& p = cluster.perf();
   EXPECT_GT(p.segment_probes, 0u);
   EXPECT_GT(p.segment_mru_hits, 0u);
-}
-
-TEST(PerfCountersTest, CoalesceCountsDroppedUpdates) {
-  GlobalPerfCounters().Reset();
-  std::vector<AddressUpdate> updates = {
-      {1, 1, 100, 200},
-      {1, 1, 100, 200},  // duplicate (oid, old_addr)
-      {1, 1, 200, 300},  // later move of the same object
-      {2, 1, 500, 600},
-  };
-  size_t dropped = CoalesceAddressUpdates(&updates);
-  EXPECT_EQ(dropped, 1u);
-  ASSERT_EQ(updates.size(), 3u);
-  // Last-write-wins: every surviving entry of oid 1 points at its final
-  // location, one entry per distinct old address survives.
-  EXPECT_EQ(updates[0].old_addr, 100u);
-  EXPECT_EQ(updates[0].new_addr, 300u);
-  EXPECT_EQ(updates[1].old_addr, 200u);
-  EXPECT_EQ(updates[1].new_addr, 300u);
-  EXPECT_EQ(updates[2].oid, 2u);
-  EXPECT_EQ(updates[2].new_addr, 600u);
-  EXPECT_EQ(GlobalPerfCounters().piggyback_updates_coalesced, 1u);
-  EXPECT_EQ(GlobalPerfCounters().piggyback_bytes_saved, kAddressUpdateWireBytes);
 }
 
 }  // namespace

@@ -43,6 +43,75 @@ TEST_F(DsmTest, CreatorOwnsNewObject) {
   EXPECT_FALSE(cluster_->node(1).dsm().Knows(oid));
 }
 
+// Invariant-1 piggybacks ship move chains: one update per address the object
+// has left, each aimed straight at its latest address.
+TEST_F(DsmTest, MoveChainShipsOneUpdatePerOldAddress) {
+  Build(1);
+  Gaddr a = AllocAt(0);
+  mutators_[0]->AddRoot(a);
+  DsmNode& dsm = cluster_->node(0).dsm();
+  Oid oid = OidOf(cluster_->node(0), a);
+  std::vector<Gaddr> addrs = {a};
+  for (int i = 0; i < 3; ++i) {
+    cluster_->node(0).gc().CollectBunch(bunch_);
+    addrs.push_back(dsm.ResolveAddr(a));
+  }
+  std::vector<AddressUpdate> updates = dsm.BuildInvariant1Updates(oid);
+  ASSERT_EQ(updates.size(), 3u);
+  for (size_t i = 0; i < updates.size(); ++i) {
+    EXPECT_EQ(updates[i].oid, oid);
+    EXPECT_EQ(updates[i].bunch, bunch_);
+    EXPECT_EQ(updates[i].old_addr, addrs[i]);
+    EXPECT_EQ(updates[i].new_addr, addrs.back());
+  }
+}
+
+TEST_F(DsmTest, RepeatedReferentShipsItsChainOnce) {
+  Build(1);
+  Gaddr holder = AllocAt(0, 3);
+  Gaddr target = AllocAt(0);
+  mutators_[0]->WriteRef(holder, 0, target);
+  mutators_[0]->WriteRef(holder, 2, target);
+  mutators_[0]->AddRoot(holder);
+  for (int i = 0; i < 2; ++i) {
+    cluster_->node(0).gc().CollectBunch(bunch_);
+  }
+  Oid holder_oid = OidOf(cluster_->node(0), holder);
+  Oid target_oid = OidOf(cluster_->node(0), target);
+
+  cluster_->perf().Reset();
+  std::vector<AddressUpdate> updates =
+      cluster_->node(0).dsm().BuildInvariant1Updates(holder_oid);
+  // The holder's two moves, then the target's two, shipped once.
+  ASSERT_EQ(updates.size(), 4u);
+  EXPECT_EQ(updates[0].oid, holder_oid);
+  EXPECT_EQ(updates[1].oid, holder_oid);
+  EXPECT_EQ(updates[2].oid, target_oid);
+  EXPECT_EQ(updates[3].oid, target_oid);
+  // The second slot's copy of the chain is counted as coalesced.
+  EXPECT_EQ(cluster_->perf().piggyback_updates_coalesced, 2u);
+  EXPECT_EQ(cluster_->perf().piggyback_bytes_saved, 2 * kAddressUpdateWireBytes);
+}
+
+TEST_F(DsmTest, LocalMoveFromAKnownAddressMovesOnlyTheLatest) {
+  Build(1);
+  Gaddr a = AllocAt(0);
+  mutators_[0]->AddRoot(a);
+  DsmNode& dsm = cluster_->node(0).dsm();
+  Oid oid = OidOf(cluster_->node(0), a);
+  cluster_->node(0).gc().CollectBunch(bunch_);
+  Gaddr moved = dsm.ResolveAddr(a);
+  ASSERT_NE(moved, a);
+  // Bookkeeping only: a second move away from `a`, to an address with no
+  // bytes, must not add a second entry for `a`.
+  Gaddr elsewhere = moved + 16 * kSlotBytes;
+  dsm.RecordLocalMove(oid, a, elsewhere, bunch_);
+  std::vector<AddressUpdate> updates = dsm.BuildInvariant1Updates(oid);
+  ASSERT_EQ(updates.size(), 1u);
+  EXPECT_EQ(updates[0].old_addr, a);
+  EXPECT_EQ(updates[0].new_addr, elsewhere);
+}
+
 TEST_F(DsmTest, LocalAcquireNeedsNoMessages) {
   Build(2);
   Gaddr a = AllocAt(0);
