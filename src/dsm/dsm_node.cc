@@ -499,48 +499,67 @@ void DsmNode::ForgetObject(Oid oid) {
   store_->ForgetOid(oid);
 }
 
-std::vector<AddressUpdate> DsmNode::BuildInvariant1Updates(Oid oid) const {
+size_t DsmNode::AppendUnsentMoves(Oid oid, NodeId dst, std::vector<AddressUpdate>* out) {
+  auto it = move_history_.find(oid);
+  if (it == move_history_.end()) {
+    return 0;
+  }
+  MoveChain& chain = it->second;
+  // Channels are reliable and FIFO within an incarnation, so what was sent
+  // to this incarnation of `dst` has reached it or will before anything
+  // sent now; a restarted `dst` starts with no marks.
+  const uint64_t incarnation = network_->IncarnationOf(dst);
+  auto mark = std::find_if(chain.sent.begin(), chain.sent.end(),
+                           [&](const SentMark& m) { return m.peer == dst; });
+  if (mark == chain.sent.end()) {
+    mark = chain.sent.insert(chain.sent.end(), SentMark{dst, incarnation});
+  } else if (mark->incarnation != incarnation) {
+    *mark = SentMark{dst, incarnation};
+  }
+  size_t first = mark->entries;
+  if (mark->latest != chain.latest &&
+      std::find(chain.old_addrs.begin() + first, chain.old_addrs.end(), mark->latest) ==
+          chain.old_addrs.end()) {
+    // What `dst` has leads to an address no new entry leaves: the latest
+    // changed without one (a local move away from an address the chain
+    // already holds), or `dst` has nothing yet.  Re-aim the whole chain.
+    first = 0;
+  }
+  // One hop per stale address: each one aims straight at the latest.
+  for (size_t i = first; i < chain.old_addrs.size(); ++i) {
+    out->push_back(AddressUpdate{oid, chain.bunch, chain.old_addrs[i], chain.latest});
+  }
+  mark->entries = chain.old_addrs.size();
+  mark->latest = chain.latest;
+  return first;
+}
+
+std::vector<AddressUpdate> DsmNode::BuildInvariant1Updates(Oid oid, NodeId dst) {
   std::vector<AddressUpdate> out;
-  std::vector<Oid> shipped;
-  auto add_chain = [&](Oid target) {
-    auto it = move_history_.find(target);
-    if (it == move_history_.end()) {
-      return;
-    }
-    const MoveChain& chain = it->second;
-    if (std::find(shipped.begin(), shipped.end(), target) != shipped.end()) {
-      // Referenced again (several slots, or the object itself): its chain is
-      // already on board.
-      auto& perf = GlobalPerfCounters();
-      perf.piggyback_updates_coalesced += chain.old_addrs.size();
-      perf.piggyback_bytes_saved += chain.old_addrs.size() * kAddressUpdateWireBytes;
-      return;
-    }
-    shipped.push_back(target);
-    // One hop per stale address: each one aims straight at the latest.
-    for (Gaddr old_addr : chain.old_addrs) {
-      out.push_back(AddressUpdate{target, chain.bunch, old_addr, chain.latest});
-    }
-  };
+  size_t left_out = 0;
   // The object's own moves...
-  add_chain(oid);
+  left_out += AppendUnsentMoves(oid, dst, &out);
   // ...plus moves of every object it directly references (§5, invariant 1:
   // "the new locations of the object being acquired and of every object
   // directly referenced from it").
+  // A referent reached again (a second slot, or the object itself) finds its
+  // chain marked sent and adds nothing: each chain ships once per grant.
   Gaddr addr = store_->AddrOfOid(oid);
-  if (addr == kNullAddr || !store_->HasObjectAt(addr)) {
-    return out;
+  if (addr != kNullAddr && store_->HasObjectAt(addr)) {
+    const ObjectHeader* header = store_->HeaderOf(addr);
+    store_->ForEachRefSlot(addr, header->size_slots, [&](size_t, uint64_t target) {
+      if (target == kNullAddr) {
+        return;
+      }
+      Gaddr resolved = ResolveAddr(target);
+      if (store_->HasObjectAt(resolved)) {
+        left_out += AppendUnsentMoves(store_->HeaderOf(resolved)->oid, dst, &out);
+      }
+    });
   }
-  const ObjectHeader* header = store_->HeaderOf(addr);
-  store_->ForEachRefSlot(addr, header->size_slots, [&](size_t, uint64_t target) {
-    if (target == kNullAddr) {
-      return;
-    }
-    Gaddr resolved = ResolveAddr(target);
-    if (store_->HasObjectAt(resolved)) {
-      add_chain(store_->HeaderOf(resolved)->oid);
-    }
-  });
+  auto& perf = GlobalPerfCounters();
+  perf.piggyback_updates_coalesced += left_out;
+  perf.piggyback_bytes_saved += left_out * kAddressUpdateWireBytes;
   return out;
 }
 
@@ -761,7 +780,7 @@ void DsmNode::FinishWriteGrant(Oid oid) {
   grant->entering_transfer = entering;
   entering_[t.bunch].erase(oid);
 
-  grant->piggyback.updates = BuildInvariant1Updates(oid);
+  grant->piggyback.updates = BuildInvariant1Updates(oid, pg.requester);
   if (gc_hooks_ != nullptr) {
     gc_hooks_->PrepareOwnershipTransfer(oid, t.bunch, pg.requester, &grant->piggyback);
   }
@@ -797,7 +816,7 @@ void DsmNode::SendReadGrant(Oid oid, NodeId requester, bool for_gc, Gaddr byte_a
   grant->for_gc = for_gc;
   grant->granter_owner_hint = id_;
   grant->object = CaptureLocalCopy(oid, byte_addr);
-  grant->piggyback.updates = BuildInvariant1Updates(oid);
+  grant->piggyback.updates = BuildInvariant1Updates(oid, requester);
   SpillPiggybackOverflow(&grant->piggyback.updates, requester);
   stats_.piggyback_updates_sent += grant->piggyback.updates.size();
   stats_.grants_sent++;
@@ -933,14 +952,6 @@ void DsmNode::HandleInvalidateAck(const Message& msg) {
 void DsmNode::HandlePush(const Message& msg) {
   const auto& push = static_cast<const ObjectPushPayload&>(*msg.payload);
   FAULT_POINT("dsm.push.pre_apply", id_);
-  if (push.has_object) {
-    InstallObjectBytes(push.oid, push.bunch, push.object);
-    TokenInfo& t = InfoOf(push.oid);
-    t.bunch = push.bunch;
-    if (t.owner_hint == kInvalidNode && !t.owner) {
-      t.owner_hint = msg.src;
-    }
-  }
   ApplyPiggyback(push.piggyback, msg.src);
 }
 
@@ -992,7 +1003,9 @@ void DsmNode::ApplyAddressUpdates(const std::vector<AddressUpdate>& updates, Nod
     ApplyOneAddressUpdate(update);
   }
   // Invariant 2: a node that receives new-location information forwards it to
-  // every node in its local copy-set for the object.
+  // every node in its local copy-set for the object — the part of its chain
+  // that node has not been sent, so a child that has it all gets no push
+  // (and a second update about the same object adds nothing).
   std::map<NodeId, std::vector<AddressUpdate>> fanout;
   for (const AddressUpdate& update : updates) {
     const TokenInfo* t = FindToken(update.oid);
@@ -1001,11 +1014,14 @@ void DsmNode::ApplyAddressUpdates(const std::vector<AddressUpdate>& updates, Nod
     }
     for (NodeId child : t->copyset) {
       if (child != from) {
-        fanout[child].push_back(update);
+        AppendUnsentMoves(update.oid, child, &fanout[child]);
       }
     }
   }
   for (auto& [child, list] : fanout) {
+    if (list.empty()) {
+      continue;
+    }
     auto push = std::make_shared<ObjectPushPayload>();
     push->piggyback.updates = std::move(list);
     stats_.pushes_sent++;
@@ -1082,17 +1098,6 @@ void DsmNode::ApplyOneAddressUpdate(const AddressUpdate& update) {
   if (gc_hooks_ != nullptr) {
     gc_hooks_->OnAddressUpdate(update);
   }
-}
-
-void DsmNode::PushObject(NodeId dst, Oid oid, const Piggyback& piggyback) {
-  auto push = std::make_shared<ObjectPushPayload>();
-  push->oid = oid;
-  push->bunch = BunchOf(oid);
-  push->has_object = true;
-  push->object = CaptureLocalCopy(oid);
-  push->piggyback = piggyback;
-  stats_.pushes_sent++;
-  network_->Send(id_, dst, std::move(push));
 }
 
 void DsmNode::Defer(Oid oid, const Message& msg) { deferred_[oid].push_back(msg); }

@@ -19,7 +19,8 @@
 // GC piggyback: every grant carries the new locations of the granted object
 // and of every object it directly references (invariant 1 of §5); nodes
 // receiving new locations forward them down their local copy-set (invariant
-// 2); write grants carry intra-bunch SSP requests (invariant 3).
+// 2); write grants carry intra-bunch SSP requests (invariant 3).  A node
+// sends each peer incarnation each location once.
 
 #ifndef SRC_DSM_DSM_NODE_H_
 #define SRC_DSM_DSM_NODE_H_
@@ -172,18 +173,17 @@ class DsmNode : public MessageHandler {
   void ForgetObject(Oid oid);
 
   // Applies a set of address updates as if received from `from` (kInvalidNode
-  // for locally generated ones) and forwards them down local copy-sets
+  // for locally generated ones) and forwards to each local copy-set member
+  // the part of the updated objects' chains it has not been sent
   // (invariant 2).
   void ApplyAddressUpdates(const std::vector<AddressUpdate>& updates, NodeId from);
 
-  // Pushes current object bytes (and optional piggyback) to `dst` without any
-  // token transfer; reclamation path (§4.5).
-  void PushObject(NodeId dst, Oid oid, const Piggyback& piggyback);
-
-  // Builds invariant-1 address updates for a grant of `oid`: the move chain
-  // of the object and of every object it directly references, each shipped
-  // once, as one update per old address aimed at the latest address.
-  std::vector<AddressUpdate> BuildInvariant1Updates(Oid oid) const;
+  // Builds invariant-1 address updates for a grant of `oid` to `dst`: of the
+  // move chain of the object and of every object it directly references,
+  // the entries `dst`'s current incarnation has not been sent, each aimed at
+  // the latest address, and marks them sent.  Entries left out because `dst`
+  // has them count as coalesced.
+  std::vector<AddressUpdate> BuildInvariant1Updates(Oid oid, NodeId dst);
 
   // Installs an object image at its address (mapping the segment if
   // necessary) without touching token state.  Used when applying grants,
@@ -259,12 +259,23 @@ class DsmNode : public MessageHandler {
     std::set<NodeId> copyset;  // nodes we granted read tokens to
   };
 
+  // How much of one object's move chain this node has sent one incarnation
+  // of a peer: the first `entries` old addresses, aimed at `latest`.
+  struct SentMark {
+    NodeId peer = kInvalidNode;
+    uint64_t incarnation = 0;
+    size_t entries = 0;
+    Gaddr latest = kNullAddr;
+  };
+
   // One object's move history in the form invariant 1 ships it: every
   // address it has left, in first-seen order, and its latest address.
+  // `sent` holds one mark per peer told about it.
   struct MoveChain {
     BunchId bunch = kInvalidBunch;
     std::vector<Gaddr> old_addrs;
     Gaddr latest = kNullAddr;
+    std::vector<SentMark> sent;
 
     // Records a move away from `old_addr` unless the chain already has that
     // address; true when it was new.
@@ -334,14 +345,21 @@ class DsmNode : public MessageHandler {
   void FinishWriteGrant(Oid oid);
   void SendReadGrant(Oid oid, NodeId requester, bool for_gc, Gaddr byte_addr = kNullAddr);
 
-  // Image of this node's byte copy of `oid` for a grant or push: `byte_addr`
-  // (when valid and holding bytes) or the oid map's resolution.
+  // Image of this node's byte copy of `oid` for a grant: `byte_addr` (when
+  // valid and holding bytes) or the oid map's resolution.
   ObjectImage CaptureLocalCopy(Oid oid, Gaddr byte_addr = kNullAddr) const;
+  // Decides what `dst` is told about `oid`'s moves, for grants and copy-set
+  // forwarding alike: appends to `out` the entries of this node's chain that
+  // `dst`'s current incarnation has not been sent, each aimed at the chain's
+  // latest address, and marks them sent.  Returns how many entries it left
+  // out because `dst` already has them.
+  size_t AppendUnsentMoves(Oid oid, NodeId dst, std::vector<AddressUpdate>* out);
   // Caps a piggyback update list at kMaxPiggybackUpdates, shipping the tail
   // to `dst` as a background address-change message.
   void SpillPiggybackOverflow(std::vector<AddressUpdate>* updates, NodeId dst);
-  // Applies what a grant or push carries besides the object: address
-  // updates (forwarded down the copy-set) and SSP creation requests.
+  // Applies what a grant carries besides the object, or what a push
+  // carries: address updates (forwarded down the copy-set) and SSP creation
+  // requests.
   void ApplyPiggyback(const Piggyback& piggyback, NodeId from);
   void ApplyOneAddressUpdate(const AddressUpdate& update);
   void Defer(Oid oid, const Message& msg);
@@ -362,6 +380,7 @@ class DsmNode : public MessageHandler {
   // Per-object move chains, grown by RecordLocalMove and by every address
   // update this node hears, and shipped in invariant-1 piggybacks so that
   // receivers that missed intermediate moves still reach the current address.
+  // Each peer is sent each entry once per incarnation (AppendUnsentMoves).
   std::unordered_map<Oid, MoveChain> move_history_;
   // Iterated by the GC (BGC roots, scion cleaner, reclaim notify) — the
   // order reaches protocol messages, so this one stays ordered.

@@ -71,22 +71,14 @@ struct InvalidateAckPayload : public Payload {
   size_t WireSize() const override { return 12; }
 };
 
-// Fresh object bytes pushed without a token transfer.  Used on the from-space
-// reclamation path (§4.5) and to forward new-location information down a
-// distributed copy-set (invariant 2 of §5); `has_object` is false when only
-// the piggyback matters.
+// New-location information forwarded down a copy-set without a token transfer
+// (invariant 2 of §5): the move-chain entries the receiver has not been sent.
 struct ObjectPushPayload : public Payload {
-  Oid oid = kNullOid;
-  BunchId bunch = kInvalidBunch;
-  bool has_object = false;
-  ObjectImage object;
   Piggyback piggyback;
 
   MsgKind kind() const override { return MsgKind::kObjectPush; }
   MsgCategory category() const override { return MsgCategory::kDsm; }
-  size_t WireSize() const override {
-    return 24 + (has_object ? kHeaderBytes + object.SlotWireBytes() : 0) + piggyback.WireSize();
-  }
+  size_t WireSize() const override { return 24 + piggyback.WireSize(); }
 };
 
 }  // namespace bmx

@@ -76,7 +76,6 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
 
   // --- Bunch replica lifecycle ---
   void RegisterBunchReplica(BunchId bunch);
-  bool HasReplica(BunchId bunch) const { return bunches_.count(bunch) > 0; }
 
   void AddRootProvider(RootProvider* provider);
   void RemoveRootProvider(RootProvider* provider);
@@ -133,7 +132,6 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
   // while the owner bunch is mid-recovery).
   void NoteRecoveringPeer(NodeId peer);
   void ClearRecoveringPeer(NodeId peer);
-  bool IsRecoveringPeer(NodeId peer) const { return recovering_peers_.count(peer) > 0; }
   // Recovering side: rebuilds the inter-bunch SSPs of `bunch` from the
   // recovered heap (fresh stub ids; scions recreated locally or by
   // scion-message).  The previous life's scions at peers become conservative

@@ -57,7 +57,6 @@ class SegmentDirectory {
     auto it = owners_.find(oid);
     return it == owners_.end() ? kInvalidNode : it->second;
   }
-  void ForgetOwner(Oid oid) { owners_.erase(oid); }
   // Sorted list of every oid whose owner of record is `node`.  Recovery uses
   // it to enumerate a restarted node's ownership claims and forget vacuous
   // ones (owned on paper, bytes nowhere — e.g. an allocation that never

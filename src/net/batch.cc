@@ -181,8 +181,8 @@ BatchFramePayload::BatchFramePayload(std::vector<BatchedMessage> entries)
 bool BatchableMsgKind(MsgKind kind) {
   switch (kind) {
     // DSM control: invalidation fan-outs and their acks, plus the small
-    // address-forwarding pushes of the reclaim path.  Acquire/grant are
-    // excluded — they gate mutator progress and grants are bulky.
+    // copy-set address-forwarding pushes.  Acquire/grant are excluded —
+    // they gate mutator progress and grants are bulky.
     case MsgKind::kInvalidate:
     case MsgKind::kInvalidateAck:
     case MsgKind::kObjectPush:

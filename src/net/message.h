@@ -24,7 +24,7 @@ enum class MsgKind : uint8_t {
   kGrant,             // token grant: object bytes + GC piggyback payload
   kInvalidate,        // owner invalidating read copies before a write grant
   kInvalidateAck,
-  kObjectPush,        // owner pushing fresh bytes of an object (reclaim path)
+  kObjectPush,        // move-chain entries forwarded down a copy-set (invariant 2)
 
   // --- Garbage collector (paper §3-§6). ---
   kScionMessage,      // create an inter-bunch scion at target bunch (§3.2)

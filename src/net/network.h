@@ -258,7 +258,6 @@ class Network {
   // Node-level zombie: every inbound link of the node drops dispatch for all
   // categories (transport stays alive).  Orthogonal to per-link profiles.
   void SetZombieNode(NodeId node, bool zombie);
-  bool IsZombieNode(NodeId node) const { return zombie_nodes_.count(node) > 0; }
 
   // --- Progress obligations (liveness oracle ledger). ---
   // Disabled unless something calls obligations().Enable(); protocol layers

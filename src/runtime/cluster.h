@@ -71,10 +71,6 @@ class Cluster {
   // of reliable payloads (the network's virtual clock advances as needed).
   void Pump() { network_.RunUntilIdle(); }
 
-  // Advances the network's virtual clock, e.g. to make pending retransmission
-  // timers due before the next Pump.
-  void AdvanceTime(uint64_t ticks) { network_.AdvanceClock(ticks); }
-
   // Transient network partition between two live nodes (both directions).
   // Unreliable traffic between them is dropped; reliable traffic waits in the
   // sender's retransmission buffer and flows once the partition heals.

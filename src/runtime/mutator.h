@@ -54,7 +54,6 @@ class Mutator : public RootProvider {
   void SetRoot(size_t index, Gaddr addr);
   Gaddr Root(size_t index) const;
   void ClearRoot(size_t index) { SetRoot(index, kNullAddr); }
-  size_t RootCount() const { return roots_.size(); }
 
   std::vector<Gaddr*> RootSlots() override;
 

@@ -29,9 +29,31 @@ class DsmTest : public ::testing::Test {
 
   Gaddr AllocAt(NodeId node, uint32_t slots = 2) { return mutators_[node]->Alloc(bunch_, slots); }
 
+  // From now on, keeps the address updates of every grant delivered, in
+  // delivery order.
+  void RecordGrants() {
+    cluster_->network().set_delivery_observer([this](const Message& msg) {
+      if (msg.payload->kind() == MsgKind::kGrant) {
+        grants_.push_back(static_cast<const GrantPayload&>(*msg.payload).piggyback.updates);
+      }
+    });
+  }
+
+  // One read critical section of `node` on `addr`.
+  void Read(NodeId node, Gaddr addr) {
+    ASSERT_TRUE(mutators_[node]->AcquireRead(addr));
+    mutators_[node]->Release(addr);
+  }
+  // One write critical section: at the owner, it invalidates every reader.
+  void Write(NodeId node, Gaddr addr) {
+    ASSERT_TRUE(mutators_[node]->AcquireWrite(addr));
+    mutators_[node]->Release(addr);
+  }
+
   std::unique_ptr<Cluster> cluster_;
   std::vector<std::unique_ptr<Mutator>> mutators_;
   BunchId bunch_ = kInvalidBunch;
+  std::vector<std::vector<AddressUpdate>> grants_;
 };
 
 TEST_F(DsmTest, CreatorOwnsNewObject) {
@@ -56,7 +78,7 @@ TEST_F(DsmTest, MoveChainShipsOneUpdatePerOldAddress) {
     cluster_->node(0).gc().CollectBunch(bunch_);
     addrs.push_back(dsm.ResolveAddr(a));
   }
-  std::vector<AddressUpdate> updates = dsm.BuildInvariant1Updates(oid);
+  std::vector<AddressUpdate> updates = dsm.BuildInvariant1Updates(oid, /*dst=*/1);
   ASSERT_EQ(updates.size(), 3u);
   for (size_t i = 0; i < updates.size(); ++i) {
     EXPECT_EQ(updates[i].oid, oid);
@@ -81,7 +103,7 @@ TEST_F(DsmTest, RepeatedReferentShipsItsChainOnce) {
 
   cluster_->perf().Reset();
   std::vector<AddressUpdate> updates =
-      cluster_->node(0).dsm().BuildInvariant1Updates(holder_oid);
+      cluster_->node(0).dsm().BuildInvariant1Updates(holder_oid, /*dst=*/1);
   // The holder's two moves, then the target's two, shipped once.
   ASSERT_EQ(updates.size(), 4u);
   EXPECT_EQ(updates[0].oid, holder_oid);
@@ -106,10 +128,114 @@ TEST_F(DsmTest, LocalMoveFromAKnownAddressMovesOnlyTheLatest) {
   // bytes, must not add a second entry for `a`.
   Gaddr elsewhere = moved + 16 * kSlotBytes;
   dsm.RecordLocalMove(oid, a, elsewhere, bunch_);
-  std::vector<AddressUpdate> updates = dsm.BuildInvariant1Updates(oid);
+  std::vector<AddressUpdate> updates = dsm.BuildInvariant1Updates(oid, /*dst=*/1);
   ASSERT_EQ(updates.size(), 1u);
   EXPECT_EQ(updates[0].old_addr, a);
   EXPECT_EQ(updates[0].new_addr, elsewhere);
+}
+
+// A peer is sent each chain entry once: a re-grant after no new move carries
+// nothing, and one more move carries one update, from the address the peer
+// was last sent to the new latest.
+TEST_F(DsmTest, RegrantShipsOnlyTheMovesThePeerHasNotBeenSent) {
+  Build(2);
+  Gaddr a = AllocAt(0);
+  mutators_[0]->AddRoot(a);
+  DsmNode& owner = cluster_->node(0).dsm();
+  for (int i = 0; i < 2; ++i) {
+    cluster_->node(0).gc().CollectBunch(bunch_);
+  }
+  RecordGrants();
+  Read(1, a);
+  Write(0, a);  // pulls node 1's copy, so its next read is granted again
+  Read(1, a);
+  ASSERT_EQ(grants_.size(), 2u);
+  EXPECT_EQ(grants_[0].size(), 2u);
+  EXPECT_TRUE(grants_[1].empty());
+
+  Gaddr previous = owner.ResolveAddr(a);
+  Write(0, a);
+  cluster_->node(0).gc().CollectBunch(bunch_);
+  Gaddr latest = owner.ResolveAddr(a);
+  ASSERT_NE(latest, previous);
+  Read(1, a);
+  ASSERT_EQ(grants_.size(), 3u);
+  ASSERT_EQ(grants_[2].size(), 1u);
+  EXPECT_EQ(grants_[2][0].old_addr, previous);
+  EXPECT_EQ(grants_[2][0].new_addr, latest);
+}
+
+// What a peer was sent dies with its incarnation: a restarted reader is sent
+// the whole chain again.
+TEST_F(DsmTest, RestartedPeerIsSentTheWholeChainAgain) {
+  Build(2);
+  Gaddr a = AllocAt(0);
+  mutators_[0]->AddRoot(a);
+  for (int i = 0; i < 2; ++i) {
+    cluster_->node(0).gc().CollectBunch(bunch_);
+  }
+  RecordGrants();
+  Read(1, a);
+  mutators_[1].reset();  // a Mutator must not outlive its node
+  cluster_->CrashNode(1);
+  mutators_[1] = std::make_unique<Mutator>(&cluster_->RestartNode(1));
+  Read(1, a);
+  ASSERT_EQ(grants_.size(), 2u);
+  EXPECT_EQ(grants_[0].size(), 2u);
+  EXPECT_EQ(grants_[1].size(), 2u);
+}
+
+// A local move away from an address the chain already holds changes only the
+// latest address; a peer that had the chain is sent all of it again, re-aimed.
+TEST_F(DsmTest, LocalMoveFromAKnownAddressReaimsTheWholeChain) {
+  Build(1);
+  Gaddr a = AllocAt(0);
+  mutators_[0]->AddRoot(a);
+  DsmNode& dsm = cluster_->node(0).dsm();
+  Oid oid = OidOf(cluster_->node(0), a);
+  for (int i = 0; i < 2; ++i) {
+    cluster_->node(0).gc().CollectBunch(bunch_);
+  }
+  ASSERT_EQ(dsm.BuildInvariant1Updates(oid, /*dst=*/1).size(), 2u);
+  ASSERT_TRUE(dsm.BuildInvariant1Updates(oid, /*dst=*/1).empty());
+  // Bookkeeping only, as in LocalMoveFromAKnownAddressMovesOnlyTheLatest.
+  Gaddr elsewhere = dsm.ResolveAddr(a) + 16 * kSlotBytes;
+  dsm.RecordLocalMove(oid, a, elsewhere, bunch_);
+  std::vector<AddressUpdate> updates = dsm.BuildInvariant1Updates(oid, /*dst=*/1);
+  ASSERT_EQ(updates.size(), 2u);
+  EXPECT_EQ(updates[0].old_addr, a);
+  for (const AddressUpdate& update : updates) {
+    EXPECT_EQ(update.new_addr, elsewhere);
+  }
+}
+
+// A node that learned a chain one delta at a time holds all of it, and sends
+// all of it to a peer it has sent nothing.
+TEST_F(DsmTest, ChainLearnedInDeltasShipsWholeToANewPeer) {
+  Build(3);
+  Gaddr a = AllocAt(0);
+  mutators_[0]->AddRoot(a);
+  DsmNode& creator = cluster_->node(0).dsm();
+  cluster_->node(0).gc().CollectBunch(bunch_);
+  Gaddr first = creator.ResolveAddr(a);
+  RecordGrants();
+  Read(1, a);
+  Write(0, a);
+  cluster_->node(0).gc().CollectBunch(bunch_);
+  Gaddr second = creator.ResolveAddr(a);
+  Read(1, a);
+  Write(1, a);  // node 1 takes ownership, and with it the granting
+  Read(2, a);
+  ASSERT_EQ(grants_.size(), 4u);
+  EXPECT_EQ(grants_[0].size(), 1u);  // a -> first
+  ASSERT_EQ(grants_[1].size(), 1u);  // first -> second: the delta
+  EXPECT_EQ(grants_[1][0].old_addr, first);
+  EXPECT_TRUE(grants_[2].empty());  // node 1 has every entry
+  ASSERT_EQ(grants_[3].size(), 2u);  // node 1 to node 2: the whole chain
+  EXPECT_EQ(grants_[3][0].old_addr, a);
+  EXPECT_EQ(grants_[3][1].old_addr, first);
+  EXPECT_EQ(grants_[3][0].new_addr, second);
+  EXPECT_EQ(grants_[3][1].new_addr, second);
 }
 
 TEST_F(DsmTest, LocalAcquireNeedsNoMessages) {
@@ -300,6 +426,40 @@ TEST_F(DsmTest, DistributedModeInvalidationFloodsTree) {
   mutators_[1]->Release(a);
   EXPECT_EQ(cluster_->node(0).dsm().StateOf(oid), TokenState::kNone);
   EXPECT_EQ(cluster_->node(2).dsm().StateOf(oid), TokenState::kNone);
+}
+
+// Invariant-2 forwarding sends a copy-set child only what this node has not
+// sent it: news the child already has from here costs no push.
+TEST_F(DsmTest, ForwardingToAChildThatHasEveryEntrySendsNoPush) {
+  Build(4, CopySetMode::kDistributed);
+  Gaddr o1 = AllocAt(0);
+  Gaddr o2 = AllocAt(0);
+  mutators_[0]->WriteRef(o1, 0, o2);
+  // Node 1 owns both; node 0 reads O2 from it and grants it on to node 2.
+  Write(1, o1);
+  Write(1, o2);
+  mutators_[1]->AddRoot(o1);
+  Read(0, o2);
+  Read(2, o2);
+  Oid o2_oid = OidOf(cluster_->node(0), o2);
+  ASSERT_EQ(cluster_->node(2).dsm().OwnerHint(o2_oid), 0u);
+
+  // The owner moves O2.  Node 0 learns it from O1's grant and forwards it.
+  cluster_->node(1).gc().CollectBunch(bunch_);
+  const DsmStats& forwarder = cluster_->node(0).dsm().stats();
+  uint64_t pushes = forwarder.pushes_sent;
+  Read(0, o1);
+  cluster_->Pump();
+  ASSERT_EQ(forwarder.pushes_sent, pushes + 1);
+
+  // Node 3 reads O2 and takes O1, so its grant of O1 to node 0 carries O2's
+  // chain once more: node 2 already has all of it from node 0.
+  Read(3, o2);
+  Write(3, o1);
+  Read(0, o1);
+  cluster_->Pump();
+  EXPECT_EQ(forwarder.pushes_sent, pushes + 1);
+  EXPECT_EQ(cluster_->node(2).dsm().ResolveAddr(o2), cluster_->node(1).dsm().ResolveAddr(o2));
 }
 
 TEST_F(DsmTest, EnteringPruneRemovesSource) {

@@ -41,8 +41,8 @@ TEST(Payloads, GrantWireSizeScalesWithObject) {
 }
 
 // The byte model of every payload that carries an object image, pinned for
-// one 5-slot object: grants charge no header bytes; pushes, copy replies and
-// recovery reply entries charge kHeaderBytes.
+// one 5-slot object: grants charge no header bytes; copy replies and recovery
+// reply entries charge kHeaderBytes.
 TEST(Payloads, ObjectImageWireSizes) {
   ObjectImage object;
   object.header.size_slots = 5;
@@ -53,11 +53,6 @@ TEST(Payloads, ObjectImageWireSizes) {
   GrantPayload grant;
   grant.object = object;
   EXPECT_EQ(grant.WireSize(), 85u);  // 40 + 5 * 8 + 5
-
-  ObjectPushPayload push;
-  push.has_object = true;
-  push.object = object;
-  EXPECT_EQ(push.WireSize(), 93u);  // 24 + 24 + 5 * 8 + 5
 
   CopyReplyPayload copy_reply;
   copy_reply.object = object;

@@ -135,8 +135,9 @@ TEST(TrafficFingerprint, E9FlipPause) {
 }
 
 // Full-cycle variant: acquires after a BGC carry invariant-1 piggybacks, the
-// richest traffic the optimisation pass touches (coalescing must be a no-op
-// for single-move histories).
+// richest traffic the optimisation pass touches.  Each list grant ships the
+// next object's one-entry chain; the granted object's own chain already
+// reached the reader as the previous grant's referent.
 TEST(TrafficFingerprint, PostGcAcquireRound) {
   Cluster cluster({.num_nodes = 4});
   std::vector<std::unique_ptr<Mutator>> mutators;
@@ -171,7 +172,7 @@ TEST(TrafficFingerprint, PostGcAcquireRound) {
 
   EXPECT_EQ(Fingerprint(cluster.network().stats()),
             "AcquireRequest:108:2592\n"
-            "Grant:108:12380\n"
+            "Grant:108:9412\n"
             "Invalidate:16:192\n"
             "InvalidateAck:16:192\n");
 }
@@ -213,7 +214,7 @@ TEST(TrafficFingerprint, PostGcAcquireRoundUnchangedByLivenessTracking) {
 
   EXPECT_EQ(Fingerprint(cluster.network().stats()),
             "AcquireRequest:108:2592\n"
-            "Grant:108:12380\n"
+            "Grant:108:9412\n"
             "Invalidate:16:192\n"
             "InvalidateAck:16:192\n");
   EXPECT_GT(cluster.network().obligations().retired(), 0u);
