@@ -75,8 +75,13 @@ class SegmentDirectory {
   // Every global address an object has ever occupied maps to its oid; the
   // oid maps to its current canonical address (owner's copy).
   void RecordObjectAddress(Oid oid, Gaddr addr) {
-    addr_to_oid_[addr] = oid;
-    oid_to_addr_[oid] = addr;
+    ObjectAddresses& entry = addresses_[oid];
+    entry.canonical = addr;
+    auto [it, inserted] = addr_to_oid_.try_emplace(addr, oid);
+    if (inserted || it->second != oid) {
+      it->second = oid;
+      entry.recorded.push_back(addr);
+    }
   }
   Oid OidAtAddress(Gaddr addr) const {
     GlobalPerfCounters().directory_probes++;
@@ -85,15 +90,21 @@ class SegmentDirectory {
   }
   Gaddr CanonicalAddressOf(Oid oid) const {
     GlobalPerfCounters().directory_probes++;
-    auto it = oid_to_addr_.find(oid);
-    return it == oid_to_addr_.end() ? kNullAddr : it->second;
+    auto it = addresses_.find(oid);
+    return it == addresses_.end() ? kNullAddr : it->second.canonical;
   }
+  // Called when an object is reclaimed at its owner (globally dead).  Visits
+  // only the oid's own addresses; one since re-recorded for another oid keeps
+  // that oid.
   void ForgetObjectAddresses(Oid oid) {
-    // Called when an object is reclaimed at its owner (globally dead).
-    // Value-erase over an unordered table: no caller observes the order.
-    oid_to_addr_.erase(oid);
-    for (auto a = addr_to_oid_.begin(); a != addr_to_oid_.end();) {
-      a = a->second == oid ? addr_to_oid_.erase(a) : ++a;
+    if (auto entry = addresses_.find(oid); entry != addresses_.end()) {
+      for (Gaddr addr : entry->second.recorded) {
+        auto it = addr_to_oid_.find(addr);
+        if (it != addr_to_oid_.end() && it->second == oid) {
+          addr_to_oid_.erase(it);
+        }
+      }
+      addresses_.erase(entry);
     }
     owners_.erase(oid);
   }
@@ -116,6 +127,12 @@ class SegmentDirectory {
     NodeId creator = kInvalidNode;
     bool retired = false;
   };
+  // An oid's canonical address and the addresses recorded for it: an
+  // address is listed each time addr_to_oid_ starts naming this oid there.
+  struct ObjectAddresses {
+    Gaddr canonical = kNullAddr;
+    std::vector<Gaddr> recorded;
+  };
 
   const SegmentInfo& SegmentAt(SegmentId seg) const;
 
@@ -128,7 +145,7 @@ class SegmentDirectory {
   std::vector<SegmentInfo> segments_{1};
   std::unordered_map<Oid, NodeId> owners_;
   std::unordered_map<Gaddr, Oid> addr_to_oid_;
-  std::unordered_map<Oid, Gaddr> oid_to_addr_;
+  std::unordered_map<Oid, ObjectAddresses> addresses_;
 };
 
 }  // namespace bmx

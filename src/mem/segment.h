@@ -7,12 +7,16 @@
 // (a set bit marks the slot where an object's header starts) and the
 // reference-map (a set bit marks a slot that holds a pointer).  Both have one
 // bit per 8-byte slot.
+//
+// Like the prototype's mapped pages, an image's bytes are an anonymous private
+// mapping of the whole segment: the kernel commits a zeroed page only where
+// the program writes, so a nearly empty segment costs about one page.
 
 #ifndef SRC_MEM_SEGMENT_H_
 #define SRC_MEM_SEGMENT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/common/bitmap.h"
 #include "src/common/types.h"
@@ -22,32 +26,29 @@ namespace bmx {
 
 class SegmentImage {
  public:
-  SegmentImage(SegmentId id, BunchId bunch)
-      : id_(id),
-        bunch_(bunch),
-        bytes_(kSegmentBytes, 0),
-        object_map_(kSlotsPerSegment),
-        ref_map_(kSlotsPerSegment) {}
+  SegmentImage(SegmentId id, BunchId bunch);
+  ~SegmentImage();
+  SegmentImage(const SegmentImage&) = delete;
+  SegmentImage& operator=(const SegmentImage&) = delete;
 
   SegmentId id() const { return id_; }
   BunchId bunch() const { return bunch_; }
   Gaddr base() const { return SegmentBase(id_); }
 
-  uint8_t* bytes() { return bytes_.data(); }
-  const uint8_t* bytes() const { return bytes_.data(); }
+  // The kSegmentBytes of the image; stable for the image's lifetime.
+  uint8_t* bytes() { return bytes_; }
+  const uint8_t* bytes() const { return bytes_; }
 
   Bitmap& object_map() { return object_map_; }
   const Bitmap& object_map() const { return object_map_; }
   Bitmap& ref_map() { return ref_map_; }
   const Bitmap& ref_map() const { return ref_map_; }
 
-  bool Contains(Gaddr addr) const { return SegmentOf(addr) == id_; }
-
   // Header of the object whose data starts at `obj_addr`.
   ObjectHeader* HeaderOf(Gaddr obj_addr) {
     size_t off = OffsetInSegment(obj_addr);
     BMX_CHECK_GE(off, kHeaderBytes);
-    return reinterpret_cast<ObjectHeader*>(bytes_.data() + off - kHeaderBytes);
+    return reinterpret_cast<ObjectHeader*>(bytes_ + off - kHeaderBytes);
   }
   const ObjectHeader* HeaderOf(Gaddr obj_addr) const {
     return const_cast<SegmentImage*>(this)->HeaderOf(obj_addr);
@@ -56,7 +57,7 @@ class SegmentImage {
   uint64_t* SlotPtr(Gaddr obj_addr, size_t slot) {
     size_t off = OffsetInSegment(obj_addr) + slot * kSlotBytes;
     BMX_CHECK_LT(off, kSegmentBytes);
-    return reinterpret_cast<uint64_t*>(bytes_.data() + off);
+    return reinterpret_cast<uint64_t*>(bytes_ + off);
   }
 
   size_t SlotIndexOf(Gaddr addr) const { return OffsetInSegment(addr) / kSlotBytes; }
@@ -74,21 +75,24 @@ class SegmentImage {
   // its ref-map bits.  Used when dropping a local replica of an object.
   void EraseObject(Gaddr obj_addr);
 
+  // The allocation cursor: every object header lies below it, because
+  // Allocate and InstallObject move it past each object they place.
   size_t allocated_bytes() const { return cursor_; }
-  size_t FreeBytes() const { return kSegmentBytes - cursor_; }
-  // For recovery: restore the allocation cursor saved at checkpoint time.
+  // For recovery: restore the allocation cursor saved at checkpoint time,
+  // together with the object-map it bounds.
   void set_allocated_bytes(size_t cursor) { cursor_ = cursor; }
 
   // Iterates object data addresses present in this image, in address order.
-  // Word-level scan: empty 64-slot runs of the object-map cost one load.
+  // Word-level scan of the object-map below the cursor: empty 64-slot runs
+  // cost one load, and the unused tail of the segment costs nothing.
   // Visitor signature: void(Gaddr obj_addr, ObjectHeader& header).
   template <typename Fn>
   void ForEachObject(Fn&& fn) {
     auto& perf = GlobalPerfCounters();
-    perf.words_skipped += object_map_.ForEachSetInRange(0, object_map_.size(), [&](size_t bit) {
+    perf.words_skipped += object_map_.ForEachSetInRange(0, cursor_ / kSlotBytes, [&](size_t bit) {
       perf.objects_walked++;
       size_t header_off = bit * kSlotBytes;
-      auto* header = reinterpret_cast<ObjectHeader*>(bytes_.data() + header_off);
+      auto* header = reinterpret_cast<ObjectHeader*>(bytes_ + header_off);
       Gaddr obj_addr = base() + header_off + kHeaderBytes;
       fn(obj_addr, *header);
     });
@@ -106,7 +110,7 @@ class SegmentImage {
     perf.words_skipped += ref_map_.ForEachSetInRange(first, first + size_slots, [&](size_t bit) {
       perf.ref_slots_visited++;
       const uint64_t* p =
-          reinterpret_cast<const uint64_t*>(bytes_.data() + bit * kSlotBytes);
+          reinterpret_cast<const uint64_t*>(bytes_ + bit * kSlotBytes);
       fn(bit - first, *p);
     });
   }
@@ -114,7 +118,7 @@ class SegmentImage {
  private:
   SegmentId id_;
   BunchId bunch_;
-  std::vector<uint8_t> bytes_;
+  uint8_t* bytes_;  // kSegmentBytes of private anonymous mapping
   Bitmap object_map_;
   Bitmap ref_map_;
   size_t cursor_ = kSlotBytes;  // slot 0 unused so no object sits at offset 0

@@ -202,12 +202,19 @@ bool PersistenceManager::LoadSegment(SegmentImage* image) {
   const std::vector<uint8_t>& raw = disk_->Contents(meta);
   size_t map_words = image->object_map().words().size();
   BMX_CHECK_EQ(raw.size(), 16 + 2 * map_words * 8) << "corrupt segment meta for " << image->id();
-  image->set_allocated_bytes(GetU64(raw.data()));
+  const size_t cursor = GetU64(raw.data());
+  BMX_CHECK_LE(cursor, kSegmentBytes) << "corrupt segment meta for " << image->id() << ": cursor "
+                                      << cursor;
+  image->set_allocated_bytes(cursor);
   std::vector<uint64_t> words(map_words);
   for (size_t i = 0; i < map_words; ++i) {
     words[i] = GetU64(raw.data() + 16 + i * 8);
   }
   image->object_map().LoadWords(words);
+  // Object walks stop at the cursor, so a header bit past it would be an
+  // object that no walk visits.
+  BMX_CHECK_EQ(image->object_map().FindNextSet(cursor / kSlotBytes), image->object_map().size())
+      << "corrupt segment meta for " << image->id() << ": object past cursor " << cursor;
   for (size_t i = 0; i < map_words; ++i) {
     words[i] = GetU64(raw.data() + 16 + (map_words + i) * 8);
   }

@@ -11,6 +11,7 @@
 #include "src/runtime/cluster.h"
 #include "src/runtime/mutator.h"
 #include "src/runtime/oracle.h"
+#include "src/runtime/persistence.h"
 #include "src/workload/graph_builder.h"
 
 namespace bmx {
@@ -46,6 +47,28 @@ TEST(Recovery, CheckpointedBunchSurvivesCrash) {
     len++;
   }
   EXPECT_EQ(len, 25u);
+}
+
+TEST(Recovery, LoadRejectsAnObjectPastTheCursor) {
+  Disk disk;
+  PersistenceManager persistence(&disk, /*node=*/0);
+  SegmentImage image(/*id=*/4, /*bunch=*/1);
+  ASSERT_NE(image.Allocate(/*oid=*/1, /*size_slots=*/2), kNullAddr);
+  persistence.CheckpointSegments({&image});
+  persistence.TruncateLog();  // applies the log to the data and meta files
+  SegmentImage loaded(4, 1);
+  ASSERT_TRUE(persistence.LoadSegment(&loaded));
+  EXPECT_EQ(loaded.allocated_bytes(), image.allocated_bytes());
+
+  // The meta file opens with the little-endian cursor.  Reset it to an empty
+  // segment's, so the object's header bit lies past it, then past the end.
+  SegmentImage corrupt(4, 1);
+  const uint8_t empty_cursor[8] = {kSlotBytes};
+  disk.Write("seg_4.meta", 0, empty_cursor, sizeof empty_cursor);
+  EXPECT_DEATH(persistence.LoadSegment(&corrupt), "object past cursor");
+  const uint8_t cursor_past_end[8] = {0, 0, 0, 0, 1};  // 2^32
+  disk.Write("seg_4.meta", 0, cursor_past_end, sizeof cursor_past_end);
+  EXPECT_DEATH(persistence.LoadSegment(&corrupt), "corrupt segment meta for 4: cursor");
 }
 
 TEST(Recovery, UncheckpointedChangesAreLost) {

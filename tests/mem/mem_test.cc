@@ -1,4 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "src/mem/directory.h"
 #include "src/mem/replica_store.h"
@@ -6,6 +11,20 @@
 
 namespace bmx {
 namespace {
+
+// Pages of the image's bytes that the kernel has committed, per mincore.
+size_t ResidentPages(const SegmentImage& seg) {
+  const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(seg.bytes()) & ~(page - 1);
+  const uintptr_t end = reinterpret_cast<uintptr_t>(seg.bytes()) + kSegmentBytes;
+  std::vector<unsigned char> resident((end - begin + page - 1) / page);
+  EXPECT_EQ(mincore(reinterpret_cast<void*>(begin), end - begin, resident.data()), 0);
+  size_t n = 0;
+  for (unsigned char r : resident) {
+    n += r & 1;
+  }
+  return n;
+}
 
 TEST(SegmentImage, AllocateLaysOutHeaderAndData) {
   SegmentImage seg(3, 1);
@@ -63,6 +82,34 @@ TEST(SegmentImage, InstallAndEraseObject) {
   EXPECT_FALSE(dst.object_map().Test(header_slot));
 }
 
+TEST(SegmentImage, UntouchedPagesAreNotCommitted) {
+  SegmentImage seg(3, 1);
+  ASSERT_NE(seg.Allocate(/*oid=*/1, /*size_slots=*/3), kNullAddr);
+  EXPECT_LE(ResidentPages(seg), 1u);
+}
+
+TEST(SegmentImage, ForEachObjectFindsAnObjectInstalledPastTheCursor) {
+  SegmentImage replica(2, 1);
+  ObjectHeader header;
+  header.oid = 9;
+  header.size_slots = 2;
+  const uint64_t slots[2] = {7, 8};
+  const Gaddr far = MakeAddr(2, 128 * 1024 + kHeaderBytes);
+  replica.InstallObject(far, header, slots);
+
+  std::vector<Gaddr> seen;
+  replica.ForEachObject([&](Gaddr addr, ObjectHeader& h) {
+    EXPECT_EQ(h.oid, 9u);
+    seen.push_back(addr);
+  });
+  EXPECT_EQ(seen, std::vector<Gaddr>{far});
+
+  replica.EraseObject(far);
+  seen.clear();
+  replica.ForEachObject([&](Gaddr addr, ObjectHeader&) { seen.push_back(addr); });
+  EXPECT_TRUE(seen.empty());
+}
+
 TEST(Directory, IdsAndMembership) {
   SegmentDirectory dir;
   BunchId b1 = dir.CreateBunch(0);
@@ -109,6 +156,61 @@ TEST(Directory, MapperRegistry) {
   EXPECT_EQ(dir.MappersOf(b).size(), 2u);
   dir.NoteUnmapped(b, 0);
   EXPECT_FALSE(dir.IsMappedAt(b, 0));
+}
+
+TEST(Directory, ForgetClearsEveryAddressOfTheOid) {
+  SegmentDirectory dir;
+  const Oid oid = 5;
+  const std::vector<Gaddr> addrs = {MakeAddr(1, 64), MakeAddr(2, 64), MakeAddr(3, 128)};
+  dir.RecordOwner(oid, 2);
+  for (Gaddr addr : addrs) {
+    dir.RecordObjectAddress(oid, addr);
+  }
+  EXPECT_EQ(dir.OidAtAddress(addrs[0]), oid);
+  EXPECT_EQ(dir.CanonicalAddressOf(oid), addrs[2]);
+
+  dir.ForgetObjectAddresses(oid);
+  for (Gaddr addr : addrs) {
+    EXPECT_EQ(dir.OidAtAddress(addr), kNullOid);
+  }
+  EXPECT_EQ(dir.CanonicalAddressOf(oid), kNullAddr);
+  EXPECT_EQ(dir.OwnerOf(oid), kInvalidNode);
+  EXPECT_TRUE(dir.OwnedBy(2).empty());
+}
+
+TEST(Directory, ForgetKeepsAnotherOidsAddresses) {
+  SegmentDirectory dir;
+  const Gaddr a = MakeAddr(1, 64);
+  const Gaddr b = MakeAddr(1, 128);
+  const Gaddr c = MakeAddr(2, 64);
+  dir.RecordOwner(5, 0);
+  dir.RecordOwner(6, 1);
+  dir.RecordObjectAddress(5, a);
+  dir.RecordObjectAddress(6, b);
+  dir.RecordObjectAddress(6, c);
+
+  dir.ForgetObjectAddresses(5);
+  EXPECT_EQ(dir.OidAtAddress(a), kNullOid);
+  EXPECT_EQ(dir.OidAtAddress(b), 6u);
+  EXPECT_EQ(dir.OidAtAddress(c), 6u);
+  EXPECT_EQ(dir.CanonicalAddressOf(6), c);
+  EXPECT_EQ(dir.OwnerOf(6), 1u);
+}
+
+TEST(Directory, AddressReRecordedForAnotherOidSurvivesTheForget) {
+  // A recovered node whose allocation cursor was reset can place a new
+  // object at an address a dead one once held.
+  SegmentDirectory dir;
+  const Gaddr reused = MakeAddr(1, 64);
+  const Gaddr moved = MakeAddr(2, 64);
+  dir.RecordObjectAddress(5, reused);
+  dir.RecordObjectAddress(5, moved);
+  dir.RecordObjectAddress(6, reused);
+
+  dir.ForgetObjectAddresses(5);
+  EXPECT_EQ(dir.OidAtAddress(reused), 6u);
+  EXPECT_EQ(dir.OidAtAddress(moved), kNullOid);
+  EXPECT_EQ(dir.CanonicalAddressOf(6), reused);
 }
 
 TEST(ReplicaStore, ForwardingResolution) {
