@@ -4,17 +4,19 @@
 // collections and prints a full statistics report: DSM traffic, GC work,
 // SSP table churn, reclamation, and the headline non-interference counters.
 //
-// Usage:
+// Usage (bmx_sim --help explains each argument):
 //   bmx_sim [nodes] [objects] [rounds] [seed] [--distributed] [--ggc]
 //           [--loss <pct>]
 //
 // Example:
 //   bmx_sim 4 64 200 7 --distributed --ggc --loss 5
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <system_error>
 
 #include "src/common/rng.h"
 #include "src/runtime/cluster.h"
@@ -35,36 +37,89 @@ struct Options {
   double loss = 0.0;
 };
 
+const char kUsage[] =
+    "usage: bmx_sim [nodes] [objects] [rounds] [seed] [--distributed] [--ggc] [--loss <pct>]\n"
+    "  nodes    simulated nodes, at least 1 (default 3)\n"
+    "  objects  spine objects, at least 1 (default 32)\n"
+    "  rounds   workload rounds (default 100)\n"
+    "  seed     workload and network seed (default 1)\n"
+    "  --distributed  distributed copy-sets (default centralized)\n"
+    "  --ggc          collect with GGC (default BGC only)\n"
+    "  --loss <pct>   message loss in percent, 0 to 100 (default 0)\n";
+
+[[noreturn]] void Usage(std::FILE* out, int status) {
+  std::fputs(kUsage, out);
+  std::exit(status);
+}
+
+[[noreturn]] void BadArgs(const std::string& why) {
+  std::fprintf(stderr, "bmx_sim: %s\n", why.c_str());
+  Usage(stderr, 2);
+}
+
+// A whole decimal argument, or nullopt.
+std::optional<uint64_t> ParseCount(const std::string& arg) {
+  uint64_t value = 0;
+  const char* end = arg.data() + arg.size();
+  auto [ptr, ec] = std::from_chars(arg.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 Options Parse(int argc, char** argv) {
   Options opt;
   size_t positional = 0;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--distributed") {
+    if (arg == "--help" || arg == "-h") {
+      Usage(stdout, 0);
+    } else if (arg == "--distributed") {
       opt.distributed = true;
     } else if (arg == "--ggc") {
       opt.use_ggc = true;
-    } else if (arg == "--loss" && i + 1 < argc) {
-      opt.loss = std::atof(argv[++i]) / 100.0;
+    } else if (arg == "--loss") {
+      if (i + 1 >= argc) {
+        BadArgs("--loss needs a value");
+      }
+      char* end = nullptr;
+      const char* text = argv[++i];
+      double pct = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !(pct >= 0 && pct <= 100)) {
+        BadArgs(std::string("--loss must be a percentage from 0 to 100, got '") + text + "'");
+      }
+      opt.loss = pct / 100.0;
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      BadArgs("unknown flag '" + arg + "'");
     } else {
-      uint64_t value = std::strtoull(arg.c_str(), nullptr, 10);
+      std::optional<uint64_t> value = ParseCount(arg);
+      if (!value) {
+        BadArgs("'" + arg + "' is not a whole number");
+      }
       switch (positional++) {
         case 0:
-          opt.nodes = value;
+          opt.nodes = *value;
           break;
         case 1:
-          opt.objects = value;
+          opt.objects = *value;
           break;
         case 2:
-          opt.rounds = value;
+          opt.rounds = *value;
           break;
         case 3:
-          opt.seed = value;
+          opt.seed = *value;
           break;
         default:
-          break;
+          BadArgs("too many arguments at '" + arg + "'");
       }
     }
+  }
+  if (opt.nodes == 0) {
+    BadArgs("nodes must be at least 1");
+  }
+  if (opt.objects == 0) {
+    BadArgs("objects must be at least 1");
   }
   return opt;
 }

@@ -23,6 +23,15 @@ class Bitmap {
 
   size_t size() const { return nbits_; }
 
+  // Grows the array to at least `nbits` bits; the new bits are clear.  Lets a
+  // sparse user pay for its highest set bit instead of a fixed size.
+  void GrowTo(size_t nbits) {
+    if (nbits > nbits_) {
+      nbits_ = nbits;
+      words_.resize((nbits + 63) / 64, 0);
+    }
+  }
+
   void Set(size_t i) {
     BMX_CHECK_LT(i, nbits_);
     words_[i >> 6] |= uint64_t{1} << (i & 63);

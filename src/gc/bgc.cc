@@ -67,7 +67,7 @@ void GcEngine::Collect(const std::vector<BunchId>& group, bool exclude_intra_gro
   FAULT_POINT("bgc.tables.post_send", id_);
 }
 
-void GcEngine::MarkFrom(Gaddr root, const std::set<BunchId>& group, std::set<Gaddr>* marked,
+void GcEngine::MarkFrom(Gaddr root, const std::set<BunchId>& group, MarkSet* marked,
                         std::set<Gaddr>* dangling) {
   std::vector<Gaddr> worklist;
   worklist.push_back(dsm_->LocalCopyOf(root));
@@ -91,7 +91,7 @@ void GcEngine::MarkFrom(Gaddr root, const std::set<BunchId>& group, std::set<Gad
       }
       continue;
     }
-    if (!marked->insert(addr).second) {
+    if (!marked->Insert(addr)) {
       continue;
     }
     const ObjectHeader* header = store_->HeaderOf(addr);
@@ -145,7 +145,7 @@ GcEngine::TraceResult GcEngine::Trace(const std::vector<BunchId>& group,
 
   // --- Weak roots: intra-bunch scions (§6.2).  Objects reachable only from
   // --- these stay alive but emit no exiting ownerPtr.
-  std::set<Gaddr> weak;
+  MarkSet weak;
   for (BunchId bunch : group) {
     const BunchState* state = FindState(bunch);
     if (state == nullptr) {
@@ -160,11 +160,11 @@ GcEngine::TraceResult GcEngine::Trace(const std::vector<BunchId>& group,
       }
     }
   }
-  for (Gaddr addr : weak) {
-    if (result.strong.count(addr) == 0) {
-      result.weak_only.insert(addr);
+  weak.ForEach([&](Gaddr addr) {
+    if (!result.strong.Contains(addr)) {
+      result.weak_only.Insert(addr);
     }
-  }
+  });
   return result;
 }
 
@@ -197,10 +197,10 @@ void GcEngine::CopyOwnedLive(BunchId bunch, TraceResult* live) {
         continue;
       }
       Gaddr new_addr = RelocateOwned(bunch, addr, header, flipping);
-      if (live->strong.count(addr) > 0) {
-        live->strong.insert(new_addr);
+      if (live->strong.Contains(addr)) {
+        live->strong.Insert(new_addr);
       } else {
-        live->weak_only.insert(new_addr);
+        live->weak_only.Insert(new_addr);
       }
       stats_.bytes_copied += ObjectFootprintBytes(header->size_slots);
     }
@@ -353,7 +353,7 @@ void GcEngine::RebuildTables(BunchId bunch, const TraceResult& live) {
   for (SegmentId seg : store_->SegmentsOfBunch(bunch)) {
     SegmentImage* image = store_->Find(seg);
     image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
-      if (header.forwarded() || live.strong.count(addr) == 0) {
+      if (header.forwarded() || !live.strong.Contains(addr)) {
         return;
       }
       if (dsm_->IsLocallyOwned(header.oid)) {

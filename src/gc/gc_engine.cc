@@ -427,8 +427,10 @@ GcEngine::HeapReport GcEngine::ReportOf(BunchId bunch) {
 
 std::vector<Gaddr> GcEngine::LiveObjects(BunchId bunch) {
   TraceResult live = Trace({bunch}, /*exclude_intra_group_scions=*/false);
-  std::vector<Gaddr> out(live.strong.begin(), live.strong.end());
-  out.insert(out.end(), live.weak_only.begin(), live.weak_only.end());
+  std::vector<Gaddr> out;
+  auto append = [&out](Gaddr addr) { out.push_back(addr); };
+  live.strong.ForEach(append);
+  live.weak_only.ForEach(append);
   return out;
 }
 
@@ -496,15 +498,13 @@ std::vector<BunchId> GcEngine::ReplicaBunches() const {
 size_t GcEngine::LiveBytesOf(BunchId bunch) {
   TraceResult live = Trace({bunch}, /*exclude_intra_group_scions=*/false);
   size_t bytes = 0;
-  auto account = [&](const std::set<Gaddr>& addrs) {
-    for (Gaddr addr : addrs) {
-      if (store_->HasObjectAt(addr)) {
-        bytes += ObjectFootprintBytes(store_->HeaderOf(addr)->size_slots);
-      }
+  auto account = [&](Gaddr addr) {
+    if (store_->HasObjectAt(addr)) {
+      bytes += ObjectFootprintBytes(store_->HeaderOf(addr)->size_slots);
     }
   };
-  account(live.strong);
-  account(live.weak_only);
+  live.strong.ForEach(account);
+  live.weak_only.ForEach(account);
   return bytes;
 }
 

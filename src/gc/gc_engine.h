@@ -30,6 +30,7 @@
 #include <set>
 #include <vector>
 
+#include "src/common/bitmap.h"
 #include "src/common/types.h"
 #include "src/dsm/dsm_node.h"
 #include "src/dsm/gc_hooks.h"
@@ -186,9 +187,11 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
   SegmentId AllocSegmentOf(BunchId bunch) const;
   // Live bytes (headers + data of live objects) in the local replica.
   size_t LiveBytesOf(BunchId bunch);
-  // Canonical addresses of all live local objects of `bunch` (strong + weak).
-  // Shared with the baseline collectors so every collector agrees on
-  // liveness and only the consistency strategy differs.
+  // Canonical addresses of all live local objects of `bunch`: the strongly
+  // reachable ones in ascending address order, then the weak-only ones in
+  // ascending order.  Shared with the baseline collectors so every collector
+  // agrees on liveness and only the consistency strategy differs; StrongCopy
+  // allocates its to-space in this order.
   std::vector<Gaddr> LiveObjects(BunchId bunch);
 
   const GcStats& stats() const { return stats_; }
@@ -217,17 +220,55 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
     std::vector<Gaddr> exiting_addrs;
   };
 
+  // A trace's liveness record: per-segment mark words, one bit per slot,
+  // indexed by the slot of an object's data address like the object-map
+  // (§8).  Only segments the trace marks in get words, and each grows only
+  // up to its highest marked slot, so a trace pays for its marks and not for
+  // the segment size.
+  class MarkSet {
+   public:
+    // Marks `addr`; false if it was already marked.
+    bool Insert(Gaddr addr) {
+      Bitmap& marks = segments_[SegmentOf(addr)];
+      const size_t bit = OffsetInSegment(addr) / kSlotBytes;
+      marks.GrowTo(bit + 1);
+      if (marks.Test(bit)) {
+        return false;
+      }
+      marks.Set(bit);
+      return true;
+    }
+    bool Contains(Gaddr addr) const {
+      auto it = segments_.find(SegmentOf(addr));
+      if (it == segments_.end()) {
+        return false;
+      }
+      const size_t bit = OffsetInSegment(addr) / kSlotBytes;
+      return bit < it->second.size() && it->second.Test(bit);
+    }
+    // Visits every marked address in ascending order.
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      for (const auto& [seg, marks] : segments_) {
+        marks.ForEachSet([&](size_t bit) { fn(MakeAddr(seg, bit * kSlotBytes)); });
+      }
+    }
+
+   private:
+    std::map<SegmentId, Bitmap> segments_;
+  };
+
   struct TraceResult {
     // Canonical (forward-resolved) addresses of live local objects.
-    std::set<Gaddr> strong;
-    std::set<Gaddr> weak_only;  // reachable only via intra-bunch scions (§6.2)
+    MarkSet strong;
+    MarkSet weak_only;  // reachable only via intra-bunch scions (§6.2)
     // Strongly reachable references to addresses with no local bytes.  The
     // paper's page-based DSM always has (possibly stale) bytes for a mapped
     // bunch; in this byte-lazy model such edges must still keep their remote
     // targets alive, so they are reported address-based in the reachability
     // tables.
     std::set<Gaddr> dangling;
-    bool Live(Gaddr addr) const { return strong.count(addr) > 0 || weak_only.count(addr) > 0; }
+    bool Live(Gaddr addr) const { return strong.Contains(addr) || weak_only.Contains(addr); }
   };
 
   struct PendingReclaim {
@@ -245,7 +286,7 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
   TraceResult Trace(const std::vector<BunchId>& group, bool exclude_intra_group_scions);
   // Marks reachable local objects; `dangling` (nullable) collects in-group
   // references whose bytes are absent locally.
-  void MarkFrom(Gaddr root, const std::set<BunchId>& group, std::set<Gaddr>* marked,
+  void MarkFrom(Gaddr root, const std::set<BunchId>& group, MarkSet* marked,
                 std::set<Gaddr>* dangling);
   void CopyOwnedLive(BunchId bunch, TraceResult* live);
   void UpdateLocalReferences(const std::vector<BunchId>& group, const TraceResult& live);

@@ -113,7 +113,9 @@ void PersistenceManager::CheckpointSegments(const std::vector<SegmentImage*>& im
     metas.push_back(EncodeMeta(image));
     rvm_.MapRegionAdopt(data, image->bytes(), kSegmentBytes);
     rvm_.MapRegionAdopt(meta, metas.back().data(), metas.back().size());
-    rvm_.SetRange(tx, data, 0, kSegmentBytes);
+    // Only the prefix below the cursor: no object byte lies at or past it,
+    // and the data file was created zero-filled at kSegmentBytes.
+    rvm_.SetRange(tx, data, 0, image->allocated_bytes());
     rvm_.SetRange(tx, meta, 0, metas.back().size());
     entries.push_back({image->id(), image->bunch()});
   }

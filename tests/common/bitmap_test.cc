@@ -197,6 +197,23 @@ TEST(Bitmap, WordsRoundTrip) {
   EXPECT_EQ(b.CountSet(), 3u);
 }
 
+TEST(Bitmap, GrowToKeepsBitsAndClearsNewOnes) {
+  Bitmap bm;
+  bm.GrowTo(5);
+  EXPECT_EQ(bm.size(), 5u);
+  EXPECT_EQ(bm.words().size(), 1u);
+  bm.Set(4);
+  bm.GrowTo(130);
+  EXPECT_EQ(bm.size(), 130u);
+  EXPECT_EQ(bm.words().size(), 3u);
+  bm.Set(129);
+  bm.GrowTo(64);  // never shrinks
+  EXPECT_EQ(bm.size(), 130u);
+  std::vector<size_t> seen;
+  bm.ForEachSet([&](size_t bit) { seen.push_back(bit); });
+  EXPECT_EQ(seen, (std::vector<size_t>{4, 129}));
+}
+
 TEST(Rng, Deterministic) {
   Rng a(7);
   Rng b(7);

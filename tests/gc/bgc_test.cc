@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/runtime/cluster.h"
 #include "src/runtime/mutator.h"
 
@@ -212,6 +214,86 @@ TEST_F(BgcTest, SegmentOverflowGrowsBunch) {
   }
   ASSERT_NE(last, kNullAddr);
   EXPECT_GE(cluster_->directory().SegmentsOfBunch(b).size(), 2u);
+}
+
+// The trace's liveness record across segments and mark-word boundaries:
+// LiveObjects' order (strong ascending, then weak-only), exact copy and
+// reclaim counts, and the weak-only object's missing exiting entry.
+TEST_F(BgcTest, LivenessAcrossSegmentsAndWordBoundaries) {
+  Build(2);
+  BunchId b = cluster_->CreateBunch(0);
+  BunchId other = cluster_->CreateBunch(0);
+  Mutator& m0 = *mutators_[0];
+
+  // `weak` sits lowest in the bunch.  Its inter-bunch reference gives node 0
+  // a stub, so the ownership transfer leaves node 0 an intra-bunch scion: the
+  // object's only root there.
+  Gaddr weak = m0.Alloc(b, 2);
+  m0.WriteRef(weak, 0, m0.Alloc(other, 1));
+  ASSERT_TRUE(mutators_[1]->AcquireWrite(weak));
+  mutators_[1]->Release(weak);
+  ASSERT_EQ(cluster_->node(0).gc().TablesOf(b).intra_scions.size(), 1u);
+  Oid weak_oid = OidOf(cluster_->node(1), weak);
+
+  // Live objects alternate with garbage until the bunch spills into a second
+  // segment; every object in a segment's last mark word is live.  The live
+  // ones form one rooted list carrying their index in slot 1.
+  auto slot_of = [](Gaddr addr) { return OffsetInSegment(addr) / kSlotBytes; };
+  const SegmentId first_segment = SegmentOf(weak);
+  std::vector<Gaddr> live;
+  size_t garbage = 0;
+  size_t root = 0;
+  for (size_t i = 0; live.empty() || SegmentOf(live.back()) == first_segment ||
+                     slot_of(live.back()) < 256;
+       ++i) {
+    Gaddr obj = m0.Alloc(b, 2);
+    if (i % 2 == 1 && slot_of(obj) < kSlotsPerSegment - 64) {
+      garbage++;
+      continue;
+    }
+    m0.WriteWord(obj, 1, live.size());
+    if (live.empty()) {
+      root = m0.AddRoot(obj);
+    } else {
+      m0.WriteRef(live.back(), 0, obj);
+    }
+    live.push_back(obj);
+  }
+  bool straddles_word = false;
+  bool in_last_word = false;
+  for (size_t k = 1; k < live.size(); ++k) {
+    straddles_word |= SegmentOf(live[k]) == SegmentOf(live[k - 1]) &&
+                      slot_of(live[k]) / 64 != slot_of(live[k - 1]) / 64;
+    in_last_word |= slot_of(live[k]) >= kSlotsPerSegment - 64;
+  }
+  ASSERT_TRUE(straddles_word);
+  ASSERT_TRUE(in_last_word);
+
+  std::vector<Gaddr> expected = live;
+  std::sort(expected.begin(), expected.end());
+  expected.push_back(weak);
+  EXPECT_EQ(cluster_->node(0).gc().LiveObjects(b), expected);
+
+  cluster_->node(0).gc().CollectBunch(b);
+  cluster_->Pump();
+  EXPECT_EQ(cluster_->node(0).gc().stats().objects_copied, live.size());
+  EXPECT_EQ(cluster_->node(0).gc().stats().objects_reclaimed, garbage);
+  Gaddr cur = m0.Root(root);
+  for (size_t k = 0; k < live.size(); ++k) {
+    ASSERT_NE(cur, kNullAddr);
+    EXPECT_TRUE(m0.SameObject(cur, live[k]));
+    ASSERT_TRUE(m0.AcquireRead(cur));
+    EXPECT_EQ(m0.ReadWord(cur, 1), k);
+    Gaddr next = m0.ReadRef(cur, 0);
+    m0.Release(cur);
+    cur = next;
+  }
+  EXPECT_EQ(cur, kNullAddr);
+  // The weak-only replica survives but reports no exiting ownerPtr, so its
+  // owner registers no entering entry from node 0 (§6.2).
+  EXPECT_TRUE(cluster_->node(0).store().HasObjectAt(cluster_->node(0).gc().Canonical(weak)));
+  const auto& entering = cluster_->node(1).dsm().EnteringFor(b);
+  EXPECT_TRUE(entering.count(weak_oid) == 0 || entering.at(weak_oid).count(0) == 0);
 }
 
 TEST_F(BgcTest, MultipleCollectionsChainForwarders) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/common/perf_counters.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/mutator.h"
@@ -69,6 +71,28 @@ TEST(Recovery, LoadRejectsAnObjectPastTheCursor) {
   const uint8_t cursor_past_end[8] = {0, 0, 0, 0, 1};  // 2^32
   disk.Write("seg_4.meta", 0, cursor_past_end, sizeof cursor_past_end);
   EXPECT_DEATH(persistence.LoadSegment(&corrupt), "corrupt segment meta for 4: cursor");
+}
+
+TEST(Recovery, CheckpointLogsOnlyWhatTheSegmentHolds) {
+  Disk disk;
+  PersistenceManager persistence(&disk, /*node=*/0);
+  SegmentImage image(/*id=*/4, /*bunch=*/1);
+  Gaddr obj = image.Allocate(/*oid=*/1, /*size_slots=*/3);
+  ASSERT_NE(obj, kNullAddr);
+  *image.SlotPtr(obj, 0) = 0x1234;
+  *image.SlotPtr(obj, 2) = SegmentBase(7) + 64;
+  image.ref_map().Set(image.SlotIndexOf(obj) + 2);
+  persistence.CheckpointSegments({&image});
+  // A one-object segment logs its prefix, not the whole kSegmentBytes.
+  EXPECT_LT(persistence.rvm().stats().log_bytes, kSegmentBytes / 16);
+
+  persistence.TruncateLog();
+  SegmentImage loaded(4, 1);
+  ASSERT_TRUE(persistence.LoadSegment(&loaded));
+  ASSERT_EQ(loaded.allocated_bytes(), image.allocated_bytes());
+  EXPECT_EQ(std::memcmp(loaded.bytes(), image.bytes(), image.allocated_bytes()), 0);
+  EXPECT_EQ(loaded.object_map().words(), image.object_map().words());
+  EXPECT_EQ(loaded.ref_map().words(), image.ref_map().words());
 }
 
 TEST(Recovery, UncheckpointedChangesAreLost) {
