@@ -1,9 +1,10 @@
 // P2 — explorer walk fleets on the task pool (DESIGN.md §9, EXPERIMENTS.md
 // P2).
 //
-// The explorer's walk fleet is the pool's only user: each walk builds and
-// drives its own cluster on one pool thread, and everything inside a walk —
-// GC, reclaim, oracles — runs serially.  This sweeps BMX_THREADS over one
+// The explorer's walk fleet is the pool's only user: the fleet runs as one
+// fork-join loop, each walk building and driving its own cluster on one
+// thread, and everything inside a walk — GC, reclaim, oracles — runs
+// serially.  This sweeps BMX_THREADS over one
 // fleet shape: random walks of the fig. 1–4 scenarios under the default
 // per-delivery oracle stride (bmx_explore's defaults).
 //

@@ -9,7 +9,7 @@ namespace bmx {
 
 FaultInjector& FaultInjector::Global() {
   // One injector per thread.  Every cluster is confined to a single thread —
-  // the main thread for ordinary tests, one pool worker per explorer walk —
+  // the main thread for ordinary tests, one TaskPool thread per explorer walk —
   // so armed schedules, hit counts and the network's fire gate stay with the
   // thread that owns the cluster and concurrent walks never clobber each
   // other's gates.

@@ -40,9 +40,9 @@ struct NodeCrashSignal {
 class FaultInjector {
  public:
   // Per-thread instance (like GlobalPerfCounters): every cluster runs
-  // confined to one thread — the main thread normally, a pool worker for a
-  // parallel explorer walk — and its fault schedules and fire gate live on
-  // that thread.  Tests Reset() it between scenarios; scenario closures must
+  // confined to one thread — the main thread normally, a TaskPool helper
+  // thread for a parallel explorer walk — and its fault schedules and fire
+  // gate live on that thread.  Tests Reset() it between scenarios; scenario closures must
   // not leave schedules armed behind them.
   static FaultInjector& Global();
 

@@ -6,12 +6,12 @@
 //
 // The counters are *per-thread*: a plain `++` on a thread-local is the only
 // instrumentation cost the hot paths can afford, and it stays race-free when
-// explorer walks run on pool workers (each walk's cluster lives on one
-// thread).  The TaskPool drains each worker's counters into the submitting
-// thread's at the end of every parallel region, so the totals a bench or test
-// reads on its own thread are complete and independent of the thread count.
-// (Scheduling-dependent counters — pool regions, chunks, steals — are
-// diagnostics, not part of the determinism contract.)  Benchmarks print them
+// explorer walks run on TaskPool helper threads (each walk's cluster lives on
+// one thread).  TaskPool::ParallelFor adds each helper's counters to the
+// caller's before it returns, so the totals a bench or test reads on its own
+// thread are complete and independent of the thread count.  (The
+// scheduling-dependent pool_steals is a diagnostic, not part of the
+// determinism contract.)  Benchmarks print them
 // (bench_util.h) and reset them per measurement; tests assert on them.
 
 #ifndef SRC_COMMON_PERF_COUNTERS_H_
@@ -47,9 +47,10 @@ struct PerfCounters {
   uint64_t recovery_query_bytes = 0;  // wire bytes of recovery query/reply traffic
 
   // Task pool (deterministic parallel runtime).
-  uint64_t pool_regions = 0;          // multi-threaded ParallelFor regions run
-  uint64_t pool_chunks_executed = 0;  // chunks executed across all participants
-  uint64_t pool_steals = 0;           // chunks taken from another shard's deque
+  uint64_t pool_regions = 0;          // multi-threaded ParallelFor calls
+  uint64_t pool_chunks_executed = 0;  // indices those calls ran
+  // Indices a participant ran beyond its even share, ceil(n / participants).
+  uint64_t pool_steals = 0;
 
   // Client-history recording and consistency verdicts.
   uint64_t history_events_recorded = 0;  // client-observable events recorded
@@ -65,8 +66,8 @@ struct PerfCounters {
 
   void Reset() { *this = PerfCounters{}; }
 
-  // Field-wise accumulation; the TaskPool uses it to fold worker counters
-  // into the submitter's at the end of each parallel region.
+  // Field-wise accumulation; TaskPool::ParallelFor uses it to add its
+  // helpers' counters to the caller's.
   void Add(const PerfCounters& o) {
     slots_scanned += o.slots_scanned;
     words_skipped += o.words_skipped;
@@ -100,7 +101,7 @@ struct PerfCounters {
 
 // Per-thread instance.  Header-inline so every layer (bitmap, mem, dsm, gc)
 // can bump counters without a link-time dependency.  On the main thread this
-// holds the process totals (pool workers drain into it via TaskPool).
+// holds the process totals (TaskPool helpers' counters are added to it).
 inline PerfCounters& GlobalPerfCounters() {
   static thread_local PerfCounters counters;
   return counters;

@@ -2,13 +2,7 @@
 
 namespace bmx {
 
-uint64_t RetryPolicy::BackoffFor(uint32_t attempt) const {
-  uint32_t shift = attempt < config_.backoff_shift_cap ? attempt : config_.backoff_shift_cap;
-  return config_.base_timeout << shift;
-}
-
 bool RetryPolicy::AllowAttempt(NodeId peer, uint64_t now) {
-  if (config_.breaker_threshold == 0) return true;
   auto it = breakers_.find(peer);
   if (it == breakers_.end()) return true;
   Breaker& b = it->second;
@@ -27,19 +21,17 @@ bool RetryPolicy::AllowAttempt(NodeId peer, uint64_t now) {
 }
 
 void RetryPolicy::RecordSuccess(NodeId peer) {
-  if (config_.breaker_threshold == 0) return;
   auto it = breakers_.find(peer);
   if (it == breakers_.end()) return;
   it->second = Breaker{};
 }
 
 void RetryPolicy::RecordFailure(NodeId peer, uint64_t now) {
-  if (config_.breaker_threshold == 0) return;
   Breaker& b = breakers_[peer];
   if (b.consecutive_failures < UINT32_MAX) b.consecutive_failures++;
-  if (b.state == BreakerState::kHalfOpen || b.consecutive_failures >= config_.breaker_threshold) {
+  if (b.state == BreakerState::kHalfOpen || b.consecutive_failures >= kBreakerThreshold) {
     b.state = BreakerState::kOpen;
-    b.open_until = now + config_.breaker_cooldown_ticks;
+    b.open_until = now + kBreakerCooldownTicks;
   }
 }
 

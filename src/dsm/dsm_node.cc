@@ -190,6 +190,13 @@ void DsmNode::BeginAcquire(Gaddr addr, bool write, bool for_gc) {
     EndAcquireWait(false);
     return;
   }
+  if (!network_->NodeAttached(target) && !acquire_retry_.AllowAttempt(target, network_->now())) {
+    // Fail fast: the first hop is down and its breaker is open, so nothing
+    // is sent and no obligation opens.
+    stats_.breaker_fast_fails++;
+    EndAcquireWait(false);
+    return;
+  }
   auto req = std::make_shared<AcquireRequestPayload>();
   req->addr = ResolveAddr(addr);
   req->write = write;
@@ -214,21 +221,12 @@ void DsmNode::EndAcquireWait(bool completed) {
 bool DsmNode::CompleteAcquire(Gaddr addr, bool write, bool for_gc) {
   // The unified RetryPolicy carries the legacy 3-attempt bound as its budget;
   // the per-peer circuit breaker only ever short-circuits attempts toward a
-  // first hop that is BOTH detached and recently timing out, so a restarted
-  // peer is always tried immediately.
+  // first hop that is BOTH detached and recently timing out (BeginAcquire
+  // then fails fast), so a restarted peer is always tried immediately.
   for (uint32_t attempt = 1;; ++attempt) {
     BeginAcquire(addr, write, for_gc);
     if (!wait_active_) {
-      return wait_complete_;  // completed locally, or unroutable
-    }
-    if (!network_->NodeAttached(wait_target_) &&
-        !acquire_retry_.AllowAttempt(wait_target_, network_->now())) {
-      // Fail fast: the first hop is down and its breaker is open.  Withdraw
-      // the parked request instead of waiting out another quiescence cycle.
-      stats_.breaker_fast_fails++;
-      network_->DropParked(id_, wait_target_, MsgKind::kAcquireRequest);
-      EndAcquireWait(false);
-      return false;
+      return wait_complete_;  // completed locally, unroutable or failed fast
     }
     network_->RunUntilIdle();
     if (!wait_active_) {
@@ -251,7 +249,7 @@ bool DsmNode::CompleteAcquire(Gaddr addr, bool write, bool for_gc) {
     acquire_retry_.RecordFailure(wait_target_, network_->now());
     network_->DropParked(id_, wait_target_, MsgKind::kAcquireRequest);
     EndAcquireWait(false);
-    if (acquire_retry_.Exhausted(attempt)) {
+    if (RetryPolicy::Exhausted(attempt)) {
       return false;  // fail cleanly: every route leads to a dead node
     }
   }

@@ -406,9 +406,7 @@ class DsmNode : public MessageHandler {
   // acquires toward a peer that keeps timing out while detached.  The
   // breaker is consulted ONLY when the first hop is detached — a restarted
   // (re-attached) peer is always tried immediately.
-  RetryPolicy acquire_retry_{RetryPolicyConfig{
-      /*base_timeout=*/8, /*backoff_shift_cap=*/16, /*attempt_budget=*/3,
-      /*breaker_threshold=*/6, /*breaker_cooldown_ticks=*/1024}};
+  RetryPolicy acquire_retry_;
 
   // Explorer-canary state (see PlantCanaryReorderBugForTesting).
   Oid canary_victim_ = kNullOid;

@@ -397,11 +397,6 @@ std::vector<SegmentId> GcEngine::FromSpacesOf(BunchId bunch) const {
   return state == nullptr ? std::vector<SegmentId>{} : state->from_spaces;
 }
 
-SegmentId GcEngine::AllocSegmentOf(BunchId bunch) const {
-  const BunchState* state = FindState(bunch);
-  return state == nullptr ? kInvalidSegment : state->alloc_segment;
-}
-
 GcEngine::HeapReport GcEngine::ReportOf(BunchId bunch) {
   HeapReport report;
   TraceResult live = Trace({bunch}, /*exclude_intra_group_scions=*/false);

@@ -184,7 +184,6 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
   HeapReport ReportOf(BunchId bunch);
 
   std::vector<SegmentId> FromSpacesOf(BunchId bunch) const;
-  SegmentId AllocSegmentOf(BunchId bunch) const;
   // Live bytes (headers + data of live objects) in the local replica.
   size_t LiveBytesOf(BunchId bunch);
   // Canonical addresses of all live local objects of `bunch`: the strongly

@@ -6,9 +6,18 @@
 #include "src/common/check.h"
 #include "src/common/fault_injector.h"
 #include "src/common/perf_counters.h"
+#include "src/common/retry.h"
 #include "src/runtime/history.h"
 
 namespace bmx {
+
+namespace {
+
+// RunUntilIdle's step cap; exceeding it is a fatal diagnostic (the network
+// dump plus any open obligations) instead of an unbounded spin.
+constexpr uint64_t kQuiesceBudget = 50'000'000;
+
+}  // namespace
 
 const char* MsgKindName(MsgKind kind) {
   switch (kind) {
@@ -548,7 +557,7 @@ Message Network::Stamp(const ChannelKey& key, Channel* channel,
   if (msg.payload->reliable()) {
     RetxEntry entry;
     entry.msg = msg;
-    entry.next_retry = now_ + retry_.BackoffFor(0);
+    entry.next_retry = now_ + RetryPolicy::BackoffFor(0);
     channel->unacked.emplace(msg.rel_seq, std::move(entry));
   }
   return msg;
@@ -938,9 +947,9 @@ bool Network::FireRetransmitTimers() {
         continue;
       }
       entry.attempts++;
-      // Exponential, capped; with the default config this is bit-identical to
-      // the legacy base << min(attempts, 16) shift.
-      entry.next_retry = now_ + retry_.BackoffFor(entry.attempts);
+      // Exponential, capped: bit-identical to the legacy
+      // base << min(attempts, 16) shift.
+      entry.next_retry = now_ + RetryPolicy::BackoffFor(entry.attempts);
       stats_.For(entry.msg.payload->kind()).retransmits++;
       CountWireCopy(*entry.msg.payload);
       Message copy = entry.msg;
@@ -974,13 +983,13 @@ bool Network::DrainUntilIdle(uint64_t budget, std::string* diagnostic) {
 
 void Network::RunUntilIdle() {
   // The budget guards against a protocol that ping-pongs forever; no
-  // legitimate workload in this repository approaches the default.  On
+  // legitimate workload in this repository approaches it.  On
   // overrun the failure carries the pending-state dump — per-channel queues,
   // unacked entries with live timers, and any open obligations — instead of
   // spinning silently.
   std::string diagnostic;
-  if (!DrainUntilIdle(quiesce_budget_, &diagnostic)) {
-    BMX_CHECK(false) << "network failed to quiesce within " << quiesce_budget_ << " steps\n"
+  if (!DrainUntilIdle(kQuiesceBudget, &diagnostic)) {
+    BMX_CHECK(false) << "network failed to quiesce within " << kQuiesceBudget << " steps\n"
                      << diagnostic;
   }
   // Quiescence contract: the loop above may only stop when every unacked

@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "src/common/obligations.h"
-#include "src/common/retry.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/net/batch.h"
@@ -225,10 +224,6 @@ class Network {
   // path would have printed.  Returns true on quiescence (postcondition
   // checked as in RunUntilIdle).
   bool RunUntilIdleBounded(uint64_t max_steps, std::string* diagnostic);
-
-  // Step cap for RunUntilIdle; exceeding it is a fatal diagnostic (the
-  // network dump plus any open obligations) instead of an unbounded spin.
-  void set_quiesce_budget(uint64_t steps) { quiesce_budget_ = steps; }
 
   // Per-channel pending state: queue depths and head readiness, unacked
   // entries with their earliest retransmit deadline, reassembly stashes —
@@ -518,10 +513,6 @@ class Network {
   HistoryRecorder* history_ = nullptr;
   bool fault_gate_attached_ = false;
   uint64_t now_ = 0;
-  // Retransmission schedule (default config reproduces the legacy
-  // base << min(attempts, 16) backoff bit-for-bit).
-  RetryPolicy retry_;
-  uint64_t quiesce_budget_ = 50'000'000;
   // Gray-failure state.  any_link_latency_ lets the scheduler skip the
   // readiness scan entirely when no installed profile inflates latency.
   std::map<ChannelKey, LinkState> link_profiles_;

@@ -58,11 +58,10 @@ class Cluster {
   // The attached recorder, or nullptr when recording was never enabled.
   HistoryRecorder* history() { return history_.get(); }
   // Hot-path counters (scan kernels, lookup tables, piggyback coalescing,
-  // pool regions/steals).  Thread-local — each pool worker counts into its
-  // own block and the TaskPool drains workers back into the submitting
-  // thread when a parallel region ends, so the totals read here are
-  // complete and independent of BMX_THREADS.  Benches reset them per run
-  // and print them.
+  // pool calls/steals).  Thread-local — each TaskPool helper thread counts
+  // into its own block, which ParallelFor adds to the caller's before it
+  // returns, so the totals read here are complete and independent of
+  // BMX_THREADS.  Benches reset them per run and print them.
   PerfCounters& perf() { return GlobalPerfCounters(); }
 
   BunchId CreateBunch(NodeId creator);

@@ -1,6 +1,6 @@
 #include "src/runtime/explorer.h"
 
-#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <utility>
 
@@ -105,67 +105,72 @@ RunResult Explorer::RunOnce(const ExplorerScenario& scenario, uint64_t walk_seed
 }
 
 ExplorationResult Explorer::Explore(const ExplorerScenario& scenario) {
-  // Walk fleet: batches of `threads` independent walks, each building and
-  // driving its own cluster on one pool thread (the per-thread fault injector
-  // and perf counters make that confinement sound).  This is the task pool's
+  // Walk fleet: one ParallelFor over every walk, each walk building and
+  // driving its own cluster on one thread (the per-thread fault injector and
+  // perf counters make that confinement sound).  This is the task pool's
   // only user; everything a walk runs — GC, reclaim, oracles — is serial on
   // that one thread, so a walk's result never depends on the thread count.
-  // Batch results fold in walk order and the fold stops at the first
-  // violating walk, so runs, total_deliveries, fingerprint and the violating
-  // seed match a one-thread run bit for bit; walks that ran past the first
-  // violation are discarded unobserved.  At one thread a batch is one walk,
-  // run inline.  The wall-clock budget gates batches, and the first batch
-  // always runs.
-  ExplorationResult out;
-  auto start = std::chrono::steady_clock::now();
-  size_t walks = options_.schedule == ScheduleKind::kFifo
-                     ? 1  // FIFO has exactly one schedule; extra walks repeat it
-                     : options_.num_walks;
-  struct WalkOutcome {
-    RunResult run;
-    Trace recorded;
+  // A walk above the lowest violating walk found so far does not start, nor
+  // does any walk but walk 0 once the wall-clock budget is spent.  Results
+  // fold in walk order up to the first walk that did not run and stop at the
+  // first violating walk, so runs, total_deliveries, fingerprint and the
+  // violating seed match a one-thread run bit for bit.
+  const auto start = std::chrono::steady_clock::now();
+  const size_t walks = options_.schedule == ScheduleKind::kFifo
+                           ? 1  // FIFO has exactly one schedule; extra walks repeat it
+                           : options_.num_walks;
+  auto walk_seed = [&](size_t k) {
+    return DeriveStreamSeed(options_.root_seed + k, RngStream::kScheduler);
   };
-  for (size_t batch_start = 0; batch_start < walks;) {
-    if (batch_start > 0 && options_.budget_seconds > 0) {
-      double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-      if (elapsed >= options_.budget_seconds) {
-        break;
+  struct WalkOutcome {
+    bool ran = false;
+    RunResult run;
+    Trace recorded;  // kept only for a violating walk
+  };
+  std::vector<WalkOutcome> outcomes(walks);
+  std::atomic<size_t> lowest_violation{walks};
+  TaskPool::Global().ParallelFor(walks, [&](size_t k) {
+    if (k > lowest_violation.load()) {
+      return;
+    }
+    if (k > 0 && options_.budget_seconds > 0 &&
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count() >=
+            options_.budget_seconds) {
+      return;
+    }
+    WalkOutcome& outcome = outcomes[k];
+    Trace recorded;
+    outcome.run = RunOnce(scenario, walk_seed(k), nullptr, &recorded, options_.oracle_stride);
+    outcome.ran = true;
+    if (outcome.run.violated) {
+      outcome.recorded = std::move(recorded);
+      size_t lowest = lowest_violation.load();
+      while (k < lowest && !lowest_violation.compare_exchange_weak(lowest, k)) {
       }
     }
-    size_t batch = std::min(TaskPool::Global().threads(), walks - batch_start);
-    std::vector<WalkOutcome> outcomes =
-        TaskPool::Global().ParallelMap<WalkOutcome>(batch, [&](size_t i) {
-          uint64_t walk_seed = DeriveStreamSeed(options_.root_seed + batch_start + i,
-                                                RngStream::kScheduler);
-          WalkOutcome outcome;
-          outcome.run =
-              RunOnce(scenario, walk_seed, nullptr, &outcome.recorded, options_.oracle_stride);
-          return outcome;
-        });
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      RunResult& run = outcomes[i].run;
-      out.runs++;
-      out.total_deliveries += run.deliveries;
-      out.fingerprint = run.fingerprint;
-      if (!run.violated) {
-        continue;
-      }
-      out.violation_found = true;
-      out.violating_walk_seed = DeriveStreamSeed(options_.root_seed + batch_start + i,
-                                                 RngStream::kScheduler);
-      out.violations = run.violations;
-      out.trace = outcomes[i].recorded;
-      size_t shrink_runs = 0;
-      out.shrunk = Shrink(scenario, outcomes[i].recorded, &shrink_runs);
-      out.runs += shrink_runs;
-      if (!options_.trace_dir.empty()) {
-        out.trace_path = options_.trace_dir + "/" + scenario.name + "-violation.trace";
-        out.shrunk.WriteFile(out.trace_path);
-      }
-      return out;
+  });
+
+  ExplorationResult out;
+  for (size_t k = 0; k < walks && outcomes[k].ran; ++k) {
+    const RunResult& run = outcomes[k].run;
+    out.runs++;
+    out.total_deliveries += run.deliveries;
+    out.fingerprint = run.fingerprint;
+    if (!run.violated) {
+      continue;
     }
-    batch_start += batch;
+    out.violation_found = true;
+    out.violating_walk_seed = walk_seed(k);
+    out.violations = run.violations;
+    out.trace = std::move(outcomes[k].recorded);
+    size_t shrink_runs = 0;
+    out.shrunk = Shrink(scenario, out.trace, &shrink_runs);
+    out.runs += shrink_runs;
+    if (!options_.trace_dir.empty()) {
+      out.trace_path = options_.trace_dir + "/" + scenario.name + "-violation.trace";
+      out.shrunk.WriteFile(out.trace_path);
+    }
+    break;
   }
   return out;
 }

@@ -53,8 +53,8 @@ struct ExplorerOptions {
   // only at quiescence (cheaper, but the shrinker loses the early violation
   // index that tail truncation feeds on).
   uint64_t oracle_stride = 1;
-  // Wall-clock budget: no new batch of walks (one per pool thread) starts
-  // after this many seconds (0 = no limit).  The first batch always runs.
+  // Wall-clock budget: no walk starts after this many seconds (0 = no
+  // limit), except walk 0, which always runs.  Walks already started finish.
   double budget_seconds = 0.0;
   // Upper bound on scenario executions one Shrink() may spend.
   size_t max_shrink_runs = 400;

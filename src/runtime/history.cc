@@ -2,26 +2,6 @@
 
 namespace bmx {
 
-const char* HistoryOpName(HistoryOp op) {
-  switch (op) {
-    case HistoryOp::kAlloc:
-      return "alloc";
-    case HistoryOp::kAcquireRead:
-      return "acquire-read";
-    case HistoryOp::kAcquireWrite:
-      return "acquire-write";
-    case HistoryOp::kRelease:
-      return "release";
-    case HistoryOp::kRead:
-      return "read";
-    case HistoryOp::kWrite:
-      return "write";
-    case HistoryOp::kGcFlip:
-      return "gc-flip";
-  }
-  return "unknown";
-}
-
 bool VcLeq(const VectorClock& a, const VectorClock& b) {
   BMX_CHECK_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {

@@ -59,8 +59,6 @@ enum class HistoryOp : uint8_t {
   kGcFlip,        // GC address change applied locally (old_addr -> new_addr)
 };
 
-const char* HistoryOpName(HistoryOp op);
-
 // Vector clock over the cluster's nodes: vc[n] counts node n's local events
 // (client events, GC flips, sends, deliveries).
 using VectorClock = std::vector<uint64_t>;

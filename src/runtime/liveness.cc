@@ -8,9 +8,15 @@
 
 namespace bmx {
 
-LivenessOracle::LivenessOracle(Cluster* cluster, const LivenessOptions& options)
-    : cluster_(cluster), options_(options) {
-  cluster_->network().obligations().Enable(options_.deadline_ticks);
+namespace {
+
+// Deliveries between mid-run progress probes.
+constexpr uint64_t kWindow = 512;
+
+}  // namespace
+
+LivenessOracle::LivenessOracle(Cluster* cluster) : cluster_(cluster) {
+  cluster_->network().obligations().Enable();
   retired_at_last_probe_ = cluster_->network().obligations().retired();
 }
 
@@ -127,7 +133,7 @@ std::vector<std::string> LivenessOracle::CollectVerdicts(bool require_overdue,
 
 std::vector<std::string> LivenessOracle::OnDelivery() {
   deliveries_++;
-  if (options_.window == 0 || deliveries_ % options_.window != 0) {
+  if (deliveries_ % kWindow != 0) {
     return {};
   }
   uint64_t retired = cluster_->network().obligations().retired();

@@ -25,7 +25,7 @@
 //   * retention — additive scion retention persists while the recovering
 //     peer is down or its recovery is still armed.
 //
-// Mid-run, the oracle samples every `window` deliveries and flags only when a
+// Mid-run, the oracle samples every 512 deliveries and flags only when a
 // whole window retired nothing AND an inexcusable obligation is past its
 // deadline.  At quiescence every open, inexcusable obligation is a verdict
 // regardless of age (nothing further can discharge it).  Verdicts carry the
@@ -42,18 +42,12 @@
 
 namespace bmx {
 
-struct LivenessOptions {
-  // Virtual-clock budget an obligation gets before mid-run checks may flag
-  // it.  Generous relative to retransmit backoff so lossy-link runs do not
-  // false-positive.
-  uint64_t deadline_ticks = ObligationTracker::kDefaultDeadlineTicks;
-  // Deliveries between mid-run progress probes.
-  uint64_t window = 512;
-};
-
 class LivenessOracle {
  public:
-  explicit LivenessOracle(Cluster* cluster, const LivenessOptions& options = {});
+  // Enables the network's obligation tracker with its default deadline,
+  // ObligationTracker::kDefaultDeadlineTicks: generous relative to
+  // retransmit backoff, so lossy-link runs do not false-positive.
+  explicit LivenessOracle(Cluster* cluster);
 
   // Call after every delivery.  Returns verdicts (usually empty) once per
   // elapsed window; cheap (two counter compares) on all other deliveries.
@@ -71,7 +65,6 @@ class LivenessOracle {
   std::vector<std::string> CollectVerdicts(bool require_overdue, const char* what);
 
   Cluster* cluster_;
-  LivenessOptions options_;
   uint64_t deliveries_ = 0;
   uint64_t retired_at_last_probe_ = 0;
 };

@@ -62,9 +62,6 @@ void Mutator::Release(Gaddr addr) {
 }
 
 void Mutator::CheckWritable(Gaddr obj) const {
-  if (!strict_) {
-    return;
-  }
   Gaddr resolved = node_->dsm().LocalCopyOf(obj);
   BMX_CHECK(node_->store().HasObjectAt(resolved)) << "write to unmapped object";
   Oid oid = node_->store().HeaderOf(resolved)->oid;
@@ -74,9 +71,6 @@ void Mutator::CheckWritable(Gaddr obj) const {
 }
 
 void Mutator::CheckReadable(Gaddr obj) const {
-  if (!strict_) {
-    return;
-  }
   Gaddr resolved = node_->dsm().LocalCopyOf(obj);
   BMX_CHECK(node_->store().HasObjectAt(resolved)) << "read of unmapped object";
   Oid oid = node_->store().HeaderOf(resolved)->oid;

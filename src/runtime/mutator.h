@@ -57,12 +57,9 @@ class Mutator : public RootProvider {
 
   std::vector<Gaddr*> RootSlots() override;
 
-  // Entry-consistency discipline checks (write token for writes, any token
-  // for reads).  On by default; benchmarks may disable for raw-barrier
-  // microbenchmarks.
-  void set_strict(bool strict) { strict_ = strict; }
-
  private:
+  // Entry-consistency discipline checks: a write needs the write token, a
+  // read any token.
   void CheckWritable(Gaddr obj) const;
   void CheckReadable(Gaddr obj) const;
   // Consistency-checker hook: records one client-observable event when the
@@ -72,7 +69,6 @@ class Mutator : public RootProvider {
 
   Node* node_;
   std::vector<Gaddr> roots_;
-  bool strict_ = true;
 };
 
 }  // namespace bmx

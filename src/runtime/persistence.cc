@@ -199,14 +199,15 @@ bool PersistenceManager::LoadSegment(SegmentImage* image) {
   if (!disk_->Exists(data) || !disk_->Exists(meta)) {
     return false;
   }
-  disk_->Read(data, 0, image->bytes(), kSegmentBytes);
-
   const std::vector<uint8_t>& raw = disk_->Contents(meta);
   size_t map_words = image->object_map().words().size();
   BMX_CHECK_EQ(raw.size(), 16 + 2 * map_words * 8) << "corrupt segment meta for " << image->id();
   const size_t cursor = GetU64(raw.data());
   BMX_CHECK_LE(cursor, kSegmentBytes) << "corrupt segment meta for " << image->id() << ": cursor "
                                       << cursor;
+  // A checkpoint logs only the bytes below the cursor, so only those are
+  // read back: the image commits no page above them.
+  disk_->Read(data, 0, image->bytes(), cursor);
   image->set_allocated_bytes(cursor);
   std::vector<uint64_t> words(map_words);
   for (size_t i = 0; i < map_words; ++i) {

@@ -34,7 +34,6 @@ std::set<NodeId> RecoveryManager::PeerSet() const {
 
 void RecoveryManager::RunRecovery() {
   GlobalPerfCounters().recoveries++;
-  in_progress_ = true;
   network_->obligations().Open(ObligationKind::kRecovery, id_, 0);
   persistence_->Recover();
 
@@ -140,7 +139,6 @@ void RecoveryManager::RunRecovery() {
   }
   network_->RunUntilIdle();
   network_->obligations().Close(ObligationKind::kRecovery, id_, 0);
-  in_progress_ = false;
 }
 
 void RecoveryManager::HandleMessage(const Message& msg) {

@@ -121,7 +121,6 @@ class RecoveryManager : public MessageHandler {
   // Routed by runtime::Node for kRecoveryQuery / kRecoveryReply.
   void HandleMessage(const Message& msg) override;
 
-  bool InProgress() const { return in_progress_; }
   const std::vector<BunchId>& RecoveredBunches() const { return recovered_bunches_; }
 
  private:
@@ -138,7 +137,6 @@ class RecoveryManager : public MessageHandler {
   DsmNode* dsm_;
   GcEngine* gc_;
   PersistenceManager* persistence_;
-  bool in_progress_ = false;
   std::vector<BunchId> recovered_bunches_;
   std::vector<Oid> claimed_;
 };

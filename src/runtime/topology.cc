@@ -159,9 +159,4 @@ bool Topology::Connected() const {
   return reached == num_nodes;
 }
 
-std::string Topology::Describe() const {
-  return std::string(TopologyKindName(kind)) + "(n=" + std::to_string(num_nodes) +
-         ", edges=" + std::to_string(EdgeCount()) + ")";
-}
-
 }  // namespace bmx

@@ -53,7 +53,6 @@ struct Topology {
   NodeId NeighborOf(NodeId node, uint64_t salt) const;
   size_t EdgeCount() const;
   bool Connected() const;
-  std::string Describe() const;  // e.g. "ring(n=16, edges=16)"
 };
 
 }  // namespace bmx

@@ -81,8 +81,6 @@ void Rvm::UnmapRegion(const std::string& file) {
   regions_.erase(file);
 }
 
-bool Rvm::IsMapped(const std::string& file) const { return regions_.count(file) > 0; }
-
 TxId Rvm::BeginTransaction() {
   TxId id = next_tx_++;
   open_[id] = OpenTx{};

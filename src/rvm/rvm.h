@@ -58,7 +58,6 @@ class Rvm {
   // of a live segment).  Creates the file if absent.
   void MapRegionAdopt(const std::string& file, uint8_t* mem, size_t len);
   void UnmapRegion(const std::string& file);
-  bool IsMapped(const std::string& file) const;
 
   TxId BeginTransaction();
 

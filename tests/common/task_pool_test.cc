@@ -1,6 +1,6 @@
 // TaskPool unit tests: the determinism contract at the pool level.  The
-// system-level half (BGC traffic, explorer results, oracle verdicts across
-// thread counts) lives in tests/integration/determinism_sweep_test.cc.
+// system-level half (explorer results and traffic across thread counts)
+// lives in tests/integration/determinism_sweep_test.cc.
 
 #include "src/common/task_pool.h"
 
@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -26,7 +27,14 @@ struct PoolGuard {
   ~PoolGuard() { TaskPool::SetThreadsForTesting(TaskPool::EnvThreads()); }
 };
 
-TEST(TaskPoolTest, ParallelMapMergesInSubmissionOrder) {
+// out[i] = fn(i) through ParallelFor: each body writes only its own slot.
+std::vector<uint64_t> FillSlots(size_t n, const std::function<uint64_t(size_t)>& fn) {
+  std::vector<uint64_t> out(n);
+  TaskPool::Global().ParallelFor(n, [&](size_t i) { out[i] = fn(i); });
+  return out;
+}
+
+TEST(TaskPoolTest, ParallelForFillsPerIndexSlotsInOrder) {
   PoolGuard guard;
   std::vector<uint64_t> serial;
   for (size_t i = 0; i < 1000; ++i) {
@@ -34,8 +42,7 @@ TEST(TaskPoolTest, ParallelMapMergesInSubmissionOrder) {
   }
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     TaskPool::SetThreadsForTesting(threads);
-    std::vector<uint64_t> got = TaskPool::Global().ParallelMap<uint64_t>(
-        1000, [](size_t i) { return static_cast<uint64_t>(i * i + 7); });
+    std::vector<uint64_t> got = FillSlots(1000, [](size_t i) { return i * i + 7; });
     EXPECT_EQ(got, serial) << "threads=" << threads;
   }
 }
@@ -43,7 +50,7 @@ TEST(TaskPoolTest, ParallelMapMergesInSubmissionOrder) {
 TEST(TaskPoolTest, EveryIndexRunsExactlyOnce) {
   PoolGuard guard;
   TaskPool::SetThreadsForTesting(4);
-  constexpr size_t kN = 513;  // deliberately not a multiple of the chunking
+  constexpr size_t kN = 513;  // deliberately not a multiple of the thread count
   std::vector<std::atomic<int>> hits(kN);
   TaskPool::Global().ParallelFor(kN, [&](size_t i) { hits[i]++; });
   for (size_t i = 0; i < kN; ++i) {
@@ -57,9 +64,10 @@ TEST(TaskPoolTest, MultipleThreadsActuallyParticipate) {
   std::mutex mu;
   std::set<std::thread::id> seen;
   TaskPool::Global().ParallelFor(64, [&](size_t) {
-    // Each iteration yields the CPU long enough for workers to wake and steal
-    // even on a single-core host; the assertion is >= 2 participants, not all
-    // 4 (which chunks a worker wins is schedule-dependent by design).
+    // Each index yields the CPU long enough for the helpers to start and
+    // claim indices even on a single-core host; the assertion is >= 2
+    // participants, not all 4 (which indices a helper claims is
+    // schedule-dependent by design).
     std::this_thread::sleep_for(std::chrono::microseconds(500));
     std::lock_guard<std::mutex> lock(mu);
     seen.insert(std::this_thread::get_id());
@@ -74,18 +82,21 @@ TEST(TaskPoolTest, SingleThreadRunsInlineWithoutRegionFlag) {
   TaskPool::Global().ParallelFor(64, [&](size_t) {
     saw_region = saw_region || TaskPool::InParallelRegion();
   });
-  EXPECT_FALSE(saw_region);  // the 1-thread path is the exact legacy loop
+  EXPECT_FALSE(saw_region);  // the 1-thread path is the exact serial loop
 }
 
 TEST(TaskPoolTest, NestedRegionsRunInline) {
   PoolGuard guard;
   TaskPool::SetThreadsForTesting(4);
-  std::vector<uint64_t> outer = TaskPool::Global().ParallelMap<uint64_t>(8, [](size_t i) {
+  std::vector<uint64_t> outer = FillSlots(8, [](size_t i) {
     EXPECT_TRUE(TaskPool::InParallelRegion());
-    // A nested map must run inline on this worker (no deadlock on the single
-    // global region) and still merge in order.
-    std::vector<uint64_t> inner =
-        TaskPool::Global().ParallelMap<uint64_t>(16, [i](size_t j) { return i * 100 + j; });
+    // A nested loop must run inline on this thread and still fill its
+    // slots in order.
+    std::thread::id self = std::this_thread::get_id();
+    std::vector<uint64_t> inner = FillSlots(16, [i, self](size_t j) {
+      EXPECT_EQ(std::this_thread::get_id(), self);
+      return i * 100 + j;
+    });
     uint64_t sum = 0;
     for (size_t j = 0; j < inner.size(); ++j) {
       EXPECT_EQ(inner[j], i * 100 + j);
@@ -102,10 +113,12 @@ TEST(TaskPoolTest, LowestIndexedExceptionWinsDeterministically) {
   PoolGuard guard;
   for (size_t threads : {1u, 4u}) {
     TaskPool::SetThreadsForTesting(threads);
+    std::atomic<size_t> ran{0};
     std::string caught;
     try {
-      TaskPool::Global().ParallelFor(300, [](size_t i) {
-        if (i % 37 == 5) {  // several chunks throw
+      TaskPool::Global().ParallelFor(300, [&](size_t i) {
+        ran++;
+        if (i % 37 == 5) {  // several indices throw
           throw std::runtime_error("boom@" + std::to_string(i));
         }
       });
@@ -113,9 +126,12 @@ TEST(TaskPoolTest, LowestIndexedExceptionWinsDeterministically) {
     } catch (const std::runtime_error& e) {
       caught = e.what();
     }
-    // The kept exception comes from the lowest-indexed throwing chunk, and
-    // within a chunk iteration order is sequential — so index 5 always wins,
-    // at any thread count and under any steal schedule.
+    if (threads > 1) {
+      // A throw does not stop the loop: every index still runs.
+      EXPECT_EQ(ran.load(), 300u);
+    }
+    // The kept exception is the lowest throwing index's, so index 5 wins
+    // whichever thread ran which index.
     EXPECT_EQ(caught, "boom@5") << "threads=" << threads;
   }
 }
@@ -128,12 +144,18 @@ TEST(TaskPoolTest, PerfCounterTotalsIndependentOfThreadCount) {
     TaskPool::SetThreadsForTesting(threads);
     GlobalPerfCounters().Reset();
     TaskPool::Global().ParallelFor(500, [](size_t) { GlobalPerfCounters().objects_walked++; });
-    // Worker-side increments must drain back to the submitting thread by the
+    // Helper-side increments must be added to the caller's counters by the
     // time ParallelFor returns.
     totals[runs++] = GlobalPerfCounters().objects_walked;
   }
   EXPECT_EQ(totals[0], 500u);
   EXPECT_EQ(totals[1], 500u);
+  // The last call ran on 4 threads: one multi-thread call, 500 indices.
+  EXPECT_EQ(GlobalPerfCounters().pool_regions, 1u);
+  EXPECT_EQ(GlobalPerfCounters().pool_chunks_executed, 500u);
+  // Together the participants run at most 500 - 125 indices beyond their
+  // even share of 125.
+  EXPECT_LE(GlobalPerfCounters().pool_steals, 375u);
 }
 
 TEST(TaskPoolTest, EmptyAndSingletonRegions) {
@@ -150,13 +172,13 @@ TEST(TaskPoolTest, EmptyAndSingletonRegions) {
   EXPECT_EQ(ran, 1u);
 }
 
-TEST(TaskPoolTest, ThrowFromStolenChunkRethrowsAndPoolSurvives) {
+TEST(TaskPoolTest, ThrowFromHelperThreadRethrowsAndPoolSurvives) {
   PoolGuard guard;
   TaskPool::SetThreadsForTesting(4);
-  // The submitting thread dawdles in the low chunks so workers wake up and
-  // steal the tail; a high-indexed iteration then throws — from a stolen
-  // chunk on most schedules.  Whatever thread threw, the exception must
-  // surface on the submitting thread and the pool must stay usable.
+  // The caller dawdles in the low indices so the helpers claim the high
+  // ones; a high index then throws — on a helper on most schedules.
+  // Whatever thread threw, the exception must surface on the caller and the
+  // pool must stay usable.
   std::string caught;
   try {
     TaskPool::Global().ParallelFor(256, [](size_t i) {
@@ -164,17 +186,16 @@ TEST(TaskPoolTest, ThrowFromStolenChunkRethrowsAndPoolSurvives) {
         std::this_thread::sleep_for(std::chrono::microseconds(300));
       }
       if (i == 200) {
-        throw std::runtime_error("stolen-boom");
+        throw std::runtime_error("helper-boom");
       }
     });
     FAIL() << "expected a rethrow";
   } catch (const std::runtime_error& e) {
     caught = e.what();
   }
-  EXPECT_EQ(caught, "stolen-boom");
-  // No worker is wedged and no region flag leaked: the next region completes.
-  std::vector<uint64_t> got =
-      TaskPool::Global().ParallelMap<uint64_t>(64, [](size_t i) { return i; });
+  EXPECT_EQ(caught, "helper-boom");
+  // No region flag leaked: the next call completes.
+  std::vector<uint64_t> got = FillSlots(64, [](size_t i) { return i; });
   ASSERT_EQ(got.size(), 64u);
   EXPECT_FALSE(TaskPool::InParallelRegion());
 }
@@ -182,9 +203,9 @@ TEST(TaskPoolTest, ThrowFromStolenChunkRethrowsAndPoolSurvives) {
 TEST(TaskPoolTest, ThrowFromNestedRegionPropagatesThroughWorker) {
   PoolGuard guard;
   TaskPool::SetThreadsForTesting(4);
-  // The nested (inline) region throws inside a worker's outer iteration; the
-  // outer region must deterministically rethrow the lowest outer chunk's
-  // exception, and nothing may deadlock on the single global region.
+  // The nested (inline) loop throws inside an outer index; the outer call
+  // must rethrow the lowest outer index's exception, and nothing may
+  // deadlock.
   std::string caught;
   try {
     TaskPool::Global().ParallelFor(32, [](size_t i) {
@@ -198,19 +219,18 @@ TEST(TaskPoolTest, ThrowFromNestedRegionPropagatesThroughWorker) {
   } catch (const std::runtime_error& e) {
     caught = e.what();
   }
-  // Outer index 1 is in the first outer chunk that throws; within a chunk,
-  // iteration is sequential, so it wins under every steal schedule.
+  // Outer index 1 is the lowest that throws, so it wins under every
+  // schedule.
   EXPECT_EQ(caught, "nested@1");
-  std::vector<uint64_t> got =
-      TaskPool::Global().ParallelMap<uint64_t>(16, [](size_t i) { return i; });
+  std::vector<uint64_t> got = FillSlots(16, [](size_t i) { return i; });
   ASSERT_EQ(got.size(), 16u);
 }
 
 TEST(TaskPoolTest, ResizeAfterFailedRegionsNeverWedges) {
   PoolGuard guard;
-  // Interleave throwing regions with reconfiguration: a failed region must
-  // leave no state that makes the next resize (or the next region at the new
-  // width) hang or miscount.
+  // Interleave throwing calls with reconfiguration: a failed call must
+  // leave no state that makes the next call (at the new width) hang or
+  // miscount.
   for (size_t threads : {1u, 2u, 4u, 8u, 2u, 4u}) {
     TaskPool::SetThreadsForTesting(threads);
     try {
@@ -223,8 +243,7 @@ TEST(TaskPoolTest, ResizeAfterFailedRegionsNeverWedges) {
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "resize-boom") << "threads=" << threads;
     }
-    std::vector<uint64_t> got = TaskPool::Global().ParallelMap<uint64_t>(
-        100, [](size_t i) { return 3 * i; });
+    std::vector<uint64_t> got = FillSlots(100, [](size_t i) { return 3 * i; });
     ASSERT_EQ(got.size(), 100u) << "threads=" << threads;
     for (size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i], 3 * i) << "threads=" << threads;
@@ -240,8 +259,7 @@ TEST(TaskPoolTest, SetThreadsForTestingReconfigures) {
   EXPECT_EQ(TaskPool::Global().threads(), 1u);
   // Back-to-back reconfiguration with work in between must not wedge.
   TaskPool::SetThreadsForTesting(2);
-  std::vector<uint64_t> got =
-      TaskPool::Global().ParallelMap<uint64_t>(32, [](size_t i) { return i + 1; });
+  std::vector<uint64_t> got = FillSlots(32, [](size_t i) { return i + 1; });
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], i + 1);
   }

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/perf_counters.h"
+#include "src/common/retry.h"
+#include "src/dsm/piggyback.h"
+#include "src/gc/payloads.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/mutator.h"
 
@@ -492,6 +496,93 @@ TEST_F(DsmTest, StrictModeRejectsUntokenedRead) {
   mutators_[0]->Release(a);
   ASSERT_EQ(cluster_->node(1).dsm().StateOf(oid), TokenState::kNone);
   EXPECT_DEATH(mutators_[1]->ReadWord(a, 0), "entry consistency violation");
+}
+
+// A grant carries at most kMaxPiggybackUpdates address updates; the rest of
+// the requester's unsent move-chain entries follow off the critical path in
+// one round-0 AddressChange.
+TEST_F(DsmTest, PiggybackOverflowSpillsTheTailAsOneAddressChange) {
+  constexpr size_t kChildren = 300;
+  Build(2);
+  Gaddr root = AllocAt(0, static_cast<uint32_t>(kChildren));
+  mutators_[0]->AddRoot(root);
+  for (size_t i = 0; i < kChildren; ++i) {
+    mutators_[0]->WriteRef(root, i, AllocAt(0, 1));
+  }
+  cluster_->node(0).gc().CollectBunch(bunch_);  // 301 one-entry move chains
+
+  size_t spill_messages = 0;
+  size_t spilled_updates = 0;
+  cluster_->network().set_delivery_observer([&](const Message& msg) {
+    if (msg.payload->kind() != MsgKind::kAddressChange) {
+      return;
+    }
+    const auto& change = static_cast<const AddressChangePayload&>(*msg.payload);
+    if (change.round == 0) {
+      spill_messages++;
+      spilled_updates += change.updates.size();
+    }
+  });
+  const uint64_t updates_before = cluster_->node(0).dsm().stats().piggyback_updates_sent;
+  const uint64_t spills_before = GlobalPerfCounters().piggyback_overflow_spills;
+  Read(1, root);
+  cluster_->Pump();
+  EXPECT_EQ(cluster_->node(0).dsm().stats().piggyback_updates_sent - updates_before,
+            kMaxPiggybackUpdates);
+  EXPECT_EQ(spill_messages, 1u);
+  EXPECT_EQ(spilled_updates, kChildren + 1 - kMaxPiggybackUpdates);
+  EXPECT_EQ(GlobalPerfCounters().piggyback_overflow_spills - spills_before, 1u);
+}
+
+// The acquire driver's circuit breaker: kAttemptBudget timeouts per call
+// toward a crashed owner, kBreakerThreshold in a row open the breaker, and an
+// open breaker refuses the acquire before anything is sent.  After the
+// cooldown one half-open probe goes out; once the owner is back, an acquire
+// succeeds and the breaker closes again.
+TEST_F(DsmTest, OpenBreakerFailsFastWithoutSending) {
+  Build(2);
+  Gaddr a = AllocAt(0);
+  Gaddr b = AllocAt(0);
+  mutators_[0]->AddRoot(a);
+  mutators_[0]->AddRoot(b);
+  cluster_->node(0).CheckpointBunch(bunch_);
+  mutators_[0].reset();  // a mutator must not outlive its node
+  cluster_->CrashNode(0);
+
+  const DsmStats& stats = cluster_->node(1).dsm().stats();
+  const NetworkStats::PerKind& requests =
+      cluster_->network().stats().For(MsgKind::kAcquireRequest);
+  for (uint64_t call = 1; call <= 2; ++call) {
+    EXPECT_FALSE(mutators_[1]->AcquireRead(a));
+    EXPECT_EQ(stats.acquire_timeouts, 3 * call);
+    EXPECT_EQ(requests.sent, 3 * call);
+  }
+  EXPECT_EQ(stats.breaker_fast_fails, 0u);
+
+  // The sixth timeout opened the breaker: refused up front, nothing sent.
+  EXPECT_FALSE(mutators_[1]->AcquireRead(a));
+  EXPECT_EQ(stats.breaker_fast_fails, 1u);
+  EXPECT_EQ(stats.acquire_timeouts, 6u);
+  EXPECT_EQ(requests.sent, 6u);
+
+  // Cooldown over: one half-open probe, which times out and re-opens the
+  // breaker, so the retry fails fast.
+  cluster_->network().AdvanceClock(RetryPolicy::kBreakerCooldownTicks);
+  EXPECT_FALSE(mutators_[1]->AcquireRead(a));
+  EXPECT_EQ(requests.sent, 7u);
+  EXPECT_EQ(stats.acquire_timeouts, 7u);
+  EXPECT_EQ(stats.breaker_fast_fails, 2u);
+
+  // A restarted owner is tried at once, whatever its breaker says.
+  cluster_->RestartNode(0).recovery().RunRecovery();
+  Read(1, a);
+
+  // The success closed the breaker: the next outage gets the full attempt
+  // budget again instead of a fast fail.
+  cluster_->CrashNode(0);
+  EXPECT_FALSE(mutators_[1]->AcquireRead(b));
+  EXPECT_EQ(stats.acquire_timeouts, 10u);
+  EXPECT_EQ(stats.breaker_fast_fails, 2u);
 }
 
 TEST_F(DsmTest, GcAcquireAttributionIsSeparate) {

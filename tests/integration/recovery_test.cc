@@ -15,6 +15,7 @@
 #include "src/runtime/oracle.h"
 #include "src/runtime/persistence.h"
 #include "src/workload/graph_builder.h"
+#include "tests/mem/resident_pages.h"
 
 namespace bmx {
 namespace {
@@ -88,7 +89,12 @@ TEST(Recovery, CheckpointLogsOnlyWhatTheSegmentHolds) {
 
   persistence.TruncateLog();
   SegmentImage loaded(4, 1);
+  const uint64_t read_before = disk.stats().bytes_read;
   ASSERT_TRUE(persistence.LoadSegment(&loaded));
+  // The load reads the meta file and the bytes below the cursor, so the
+  // loaded image commits no more pages than the original.
+  EXPECT_LT(disk.stats().bytes_read - read_before, kSegmentBytes / 16);
+  EXPECT_LE(ResidentPages(loaded), 1u);
   ASSERT_EQ(loaded.allocated_bytes(), image.allocated_bytes());
   EXPECT_EQ(std::memcmp(loaded.bytes(), image.bytes(), image.allocated_bytes()), 0);
   EXPECT_EQ(loaded.object_map().words(), image.object_map().words());

@@ -1,6 +1,4 @@
 #include <gtest/gtest.h>
-#include <sys/mman.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <vector>
@@ -8,23 +6,10 @@
 #include "src/mem/directory.h"
 #include "src/mem/replica_store.h"
 #include "src/mem/segment.h"
+#include "tests/mem/resident_pages.h"
 
 namespace bmx {
 namespace {
-
-// Pages of the image's bytes that the kernel has committed, per mincore.
-size_t ResidentPages(const SegmentImage& seg) {
-  const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
-  const uintptr_t begin = reinterpret_cast<uintptr_t>(seg.bytes()) & ~(page - 1);
-  const uintptr_t end = reinterpret_cast<uintptr_t>(seg.bytes()) + kSegmentBytes;
-  std::vector<unsigned char> resident((end - begin + page - 1) / page);
-  EXPECT_EQ(mincore(reinterpret_cast<void*>(begin), end - begin, resident.data()), 0);
-  size_t n = 0;
-  for (unsigned char r : resident) {
-    n += r & 1;
-  }
-  return n;
-}
 
 TEST(SegmentImage, AllocateLaysOutHeaderAndData) {
   SegmentImage seg(3, 1);

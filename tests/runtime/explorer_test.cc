@@ -8,11 +8,17 @@
 
 #include <memory>
 
+#include "src/common/task_pool.h"
 #include "src/runtime/oracle.h"
 #include "src/runtime/scenarios.h"
 
 namespace bmx {
 namespace {
+
+// Restores the pool to the environment's thread count when a test ends.
+struct PoolGuard {
+  ~PoolGuard() { TaskPool::SetThreadsForTesting(TaskPool::EnvThreads()); }
+};
 
 // Record a random-walk run of a standard scenario, then replay its trace on a
 // fresh cluster: the traffic fingerprint (per-kind sent/delivered/losses/
@@ -136,6 +142,25 @@ TEST(Explorer, QuiescenceOnlyStrideStillFindsPersistentViolations) {
   Explorer explorer(options);
   ExplorationResult result = explorer.Explore(CanaryReorderScenario());
   EXPECT_TRUE(result.violation_found);
+}
+
+// The wall-clock budget gates each walk's start, not a batch of walks: with
+// a budget spent before any walk begins, only walk 0 runs, at every thread
+// count.
+TEST(Explorer, BudgetGatesEveryWalkButTheFirst) {
+  PoolGuard guard;
+  ExplorerOptions options;
+  options.root_seed = 5;
+  options.num_walks = 64;
+  options.schedule = ScheduleKind::kRandomWalk;
+  options.budget_seconds = 1e-9;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    TaskPool::SetThreadsForTesting(threads);
+    ExplorationResult result = Explorer(options).Explore(StandardScenarios()[0]);
+    EXPECT_FALSE(result.violation_found) << "threads=" << threads;
+    EXPECT_EQ(result.runs, 1u) << "threads=" << threads;
+    EXPECT_GT(result.total_deliveries, 0u) << "threads=" << threads;
+  }
 }
 
 }  // namespace
