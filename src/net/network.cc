@@ -398,17 +398,19 @@ void Network::HealPartition(NodeId a, NodeId b) {
   partitions_.erase({std::min(a, b), std::max(a, b)});
   // Re-arm every payload that was waiting out the partition so the next pump
   // retransmits immediately instead of sleeping through residual backoff.
-  for (auto& [key, channel] : channels_) {
-    if ((key.first == a && key.second == b) || (key.first == b && key.second == a)) {
-      for (auto& [rel_seq, entry] : channel.unacked) {
-        entry.next_retry = now_;
-      }
+  for (const ChannelKey& key : {ChannelKey{a, b}, ChannelKey{b, a}}) {
+    auto it = channels_.find(key);
+    if (it == channels_.end()) {
+      continue;
+    }
+    for (auto& [rel_seq, entry] : it->second.unacked) {
+      entry.next_retry = now_;
     }
   }
 }
 
 bool Network::Partitioned(NodeId a, NodeId b) const {
-  return partitions_.count({std::min(a, b), std::max(a, b)}) > 0;
+  return !partitions_.empty() && partitions_.count({std::min(a, b), std::max(a, b)}) > 0;
 }
 
 bool Network::ReachableChannel(const ChannelKey& key) const {
@@ -481,6 +483,7 @@ void Network::RegisterNode(NodeId node, MessageHandler* handler) {
       pending_++;
       stats_.wire_messages++;
     }
+    Refile(key, &channel);
   }
 }
 
@@ -577,6 +580,7 @@ uint64_t Network::Transmit(const ChannelKey& key, std::shared_ptr<const Payload>
   }
   uint64_t seq = msg.seq;
   Enqueue(&channel, std::move(msg));
+  Refile(key, &channel);
   return seq;
 }
 
@@ -692,7 +696,7 @@ bool Network::DeliverLogical(const ChannelKey& key, MessageHandler* handler,
   return true;
 }
 
-void Network::AckReliable(Channel* channel, uint64_t rel_seq) {
+void Network::AckReliable(const ChannelKey& key, Channel* channel, uint64_t rel_seq) {
   auto it = channel->unacked.find(rel_seq);
   if (it == channel->unacked.end()) {
     return;  // already acked (e.g. first copy of a duplicate)
@@ -703,6 +707,22 @@ void Network::AckReliable(Channel* channel, uint64_t rel_seq) {
     return;
   }
   channel->unacked.erase(it);
+  Refile(key, channel);
+}
+
+void Network::Refile(const ChannelKey& key, Channel* channel) {
+  bool busy = !channel->queue.empty() || !channel->unacked.empty();
+  if (busy == channel->filed) {
+    return;
+  }
+  channel->filed = busy;
+  auto it = std::lower_bound(busy_.begin(), busy_.end(), key,
+                             [](const auto& entry, const ChannelKey& k) { return entry.first < k; });
+  if (busy) {
+    busy_.emplace(it, key, channel);
+  } else {
+    busy_.erase(it);
+  }
 }
 
 bool Network::StaleEpoch(const Message& msg) const {
@@ -739,25 +759,25 @@ Network::Channel* Network::PickDeliveryChannel(ChannelKey* key_out) {
     if (decisions_.mode() == DecisionLog::Mode::kLive && scheduler_->IsFifo()) {
       // Historical zero-overhead path: live FIFO consumes no decision indices
       // and builds no candidate list.
-      for (auto& [key, channel] : channels_) {
-        if (channel.queue.empty()) {
+      for (const auto& [key, channel] : busy_) {
+        if (channel->queue.empty()) {
           continue;
         }
-        uint64_t ready_at = any_link_latency_ ? channel.queue.front().ready_at : 0;
+        uint64_t ready_at = any_link_latency_ ? channel->queue.front().ready_at : 0;
         if (ready_at <= now_) {
           *key_out = key;
-          return &channel;
+          return channel;
         }
         earliest_ready = std::min(earliest_ready, ready_at);
       }
     } else {
       std::vector<ChannelCandidate> candidates;
       std::vector<std::pair<ChannelKey, Channel*>> backing;
-      for (auto& [key, channel] : channels_) {
-        if (channel.queue.empty()) {
+      for (const auto& [key, channel] : busy_) {
+        if (channel->queue.empty()) {
           continue;
         }
-        uint64_t ready_at = any_link_latency_ ? channel.queue.front().ready_at : 0;
+        uint64_t ready_at = any_link_latency_ ? channel->queue.front().ready_at : 0;
         if (ready_at > now_) {
           // Still in flight: not a legal candidate, so it consumes no
           // decision index and latency composes with record/replay.
@@ -767,11 +787,11 @@ Network::Channel* Network::PickDeliveryChannel(ChannelKey* key_out) {
         ChannelCandidate c;
         c.src = key.first;
         c.dst = key.second;
-        c.head_kind = channel.queue.front().payload->kind();
-        c.queue_len = channel.queue.size();
-        c.deferred = channel.deferred;
+        c.head_kind = channel->queue.front().payload->kind();
+        c.queue_len = channel->queue.size();
+        c.deferred = channel->deferred;
         candidates.push_back(c);
-        backing.emplace_back(key, &channel);
+        backing.emplace_back(key, channel);
       }
       if (!candidates.empty()) {
         size_t pick = 0;
@@ -831,6 +851,7 @@ bool Network::DeliverOne() {
   Channel& channel = *picked;
   Message msg = std::move(channel.queue.front());
   channel.queue.pop_front();
+  Refile(key, &channel);
   pending_--;
   now_++;  // every consumed wire copy costs one tick of virtual time
   auto& pk = stats_.For(msg.payload->kind());
@@ -880,10 +901,10 @@ bool Network::DeliverOne() {
       // a second copy of a stashed message): suppress, but re-ack so the
       // sender stops retransmitting.
       pk.dup_suppressed++;
-      AckReliable(&channel, msg.rel_seq);
+      AckReliable(key, &channel, msg.rel_seq);
       return true;
     }
-    AckReliable(&channel, msg.rel_seq);
+    AckReliable(key, &channel, msg.rel_seq);
     if (msg.rel_seq > channel.expected_rel_seq) {
       // Out of order (an earlier reliable payload is still in flight):
       // stash until the gap fills.  Not a delivery yet.
@@ -923,11 +944,11 @@ bool Network::DeliverOne() {
 
 bool Network::FireRetransmitTimers() {
   uint64_t earliest = UINT64_MAX;
-  for (const auto& [key, channel] : channels_) {
-    if (channel.unacked.empty() || !ReachableChannel(key)) {
+  for (const auto& [key, channel] : busy_) {
+    if (channel->unacked.empty() || !ReachableChannel(key)) {
       continue;
     }
-    for (const auto& [rel_seq, entry] : channel.unacked) {
+    for (const auto& [rel_seq, entry] : channel->unacked) {
       earliest = std::min(earliest, entry.next_retry);
     }
   }
@@ -937,12 +958,14 @@ bool Network::FireRetransmitTimers() {
   if (now_ < earliest) {
     now_ = earliest;  // event-driven virtual time: jump to the next deadline
   }
+  // The re-queue below needs no Refile: a channel with unacked entries is
+  // already filed.
   bool fired = false;
-  for (auto& [key, channel] : channels_) {
-    if (channel.unacked.empty() || !ReachableChannel(key)) {
+  for (const auto& [key, channel] : busy_) {
+    if (channel->unacked.empty() || !ReachableChannel(key)) {
       continue;
     }
-    for (auto& [rel_seq, entry] : channel.unacked) {
+    for (auto& [rel_seq, entry] : channel->unacked) {
       if (entry.next_retry > now_) {
         continue;
       }
@@ -954,7 +977,7 @@ bool Network::FireRetransmitTimers() {
       CountWireCopy(*entry.msg.payload);
       Message copy = entry.msg;
       copy.ready_at = ReadyAt(key);
-      channel.queue.push_back(std::move(copy));
+      channel->queue.push_back(std::move(copy));
       pending_++;
       stats_.wire_messages++;
       fired = true;
@@ -999,6 +1022,9 @@ void Network::RunUntilIdle() {
   // pending would silently drop the delivery guarantee.
   BMX_CHECK_EQ(ReachableUnackedCount(), 0u)
       << "RunUntilIdle returned with live retransmit obligations";
+  // And nothing is queued: a queued channel missing from busy_ would have
+  // made DeliverOne report idle too early.
+  BMX_CHECK(Idle()) << "RunUntilIdle returned with " << pending_ << " wire copies queued";
 }
 
 bool Network::RunUntilIdleBounded(uint64_t max_steps, std::string* diagnostic) {
@@ -1007,6 +1033,7 @@ bool Network::RunUntilIdleBounded(uint64_t max_steps, std::string* diagnostic) {
   }
   BMX_CHECK_EQ(ReachableUnackedCount(), 0u)
       << "RunUntilIdle returned with live retransmit obligations";
+  BMX_CHECK(Idle()) << "RunUntilIdle returned with " << pending_ << " wire copies queued";
   return true;
 }
 
@@ -1034,9 +1061,11 @@ size_t Network::HeldCount() const {
 
 size_t Network::ReachableUnackedCount() const {
   size_t n = 0;
-  for (const auto& [key, channel] : channels_) {
+  for (const auto& [key, channel] : busy_) {
+    BMX_CHECK(!channel->queue.empty() || !channel->unacked.empty())
+        << "idle channel " << key.first << "->" << key.second << " left in the busy index";
     if (ReachableChannel(key)) {
-      n += channel.unacked.size();
+      n += channel->unacked.size();
     }
   }
   return n;
@@ -1073,6 +1102,7 @@ size_t Network::DropParked(NodeId src, NodeId dst, MsgKind kind) {
       ++u;
     }
   }
+  Refile(it->first, &channel);
   return dropped;
 }
 
@@ -1149,6 +1179,7 @@ void Network::DisconnectNode(NodeId node) {
     channel.next_seq = 0;
     channel.next_rel_seq = 0;
     channel.expected_rel_seq = 0;
+    Refile(it->first, &channel);
     if (channel.unacked.empty() && channel.queue.empty()) {
       it = channels_.erase(it);  // prune empty channels
     } else {

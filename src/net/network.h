@@ -413,6 +413,7 @@ class Network {
     // Consecutive scheduler picks this channel had a pending head but was
     // passed over; DelayBoundedScheduler bounds reordering with it.
     uint64_t deferred = 0;
+    bool filed = false;  // listed in busy_; only Refile changes it
   };
 
   // Per-link gray-failure state: the profile plus dedicated fault-draw
@@ -442,8 +443,11 @@ class Network {
   uint64_t Transmit(const ChannelKey& key, std::shared_ptr<const Payload> payload);
   void Enqueue(Channel* channel, Message msg);
   // Transport-level ack for a received reliable payload (subject to ack
-  // loss).  Returns true if the sender's unacked entry was retired.
-  void AckReliable(Channel* channel, uint64_t rel_seq);
+  // loss): retires the sender's unacked entry, if it is still there.
+  void AckReliable(const ChannelKey& key, Channel* channel, uint64_t rel_seq);
+  // Files the channel in busy_ or takes it out, from its current queue and
+  // unacked map.  Called after every change that can empty or fill either.
+  void Refile(const ChannelKey& key, Channel* channel);
   bool ReachableChannel(const ChannelKey& key) const;
   void CountWireCopy(const Payload& payload);
   // True if the wire copy was emitted by or addressed to an incarnation that
@@ -531,6 +535,14 @@ class Network {
   std::function<void(NodeId)> crash_listener_;
   // std::map keeps channel iteration order deterministic.
   std::map<ChannelKey, Channel> channels_;
+  // The channels holding queued or unacked traffic, sorted by key (so in
+  // channels_ order), each with its address there: a key is here iff its
+  // channel's queue or unacked map is non-empty.  The per-step walks (the
+  // delivery pick, the retransmit timers, the quiescence count) visit only
+  // these, so their cost follows the traffic in flight, not the N(N-1)
+  // channels.  A sorted vector, not a tree: channels go busy and idle about
+  // once per message, and few are busy at a time.
+  std::vector<std::pair<ChannelKey, Channel*>> busy_;
   std::set<ChannelKey> partitions_;  // stored as (min, max)
   NetworkStats stats_;
   size_t pending_ = 0;

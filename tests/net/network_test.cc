@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/gc/payloads.h"
 
 namespace bmx {
@@ -679,6 +685,139 @@ TEST(Network, RunUntilIdleBoundedPassesQuiescentRuns) {
   EXPECT_TRUE(net.RunUntilIdleBounded(100000, &diagnostic));
   EXPECT_TRUE(diagnostic.empty());
   EXPECT_EQ(r.received.size(), 10u);
+}
+
+// A sender that crashes leaves its copies to a down node queued, stamped with
+// its dead epoch, and no unacked entry behind them.  The node's restart purges
+// those copies and leaves the channel with no traffic at all, so the channel
+// must also leave the busy-channel index (ReachableUnackedCount checks that).
+TEST(Network, RestartPurgesCopiesOfACrashedSender) {
+  Network net(1);
+  Recorder sender;
+  Recorder receiver;
+  net.RegisterNode(0, &sender);
+  net.RegisterNode(1, &receiver);
+  net.DisconnectNode(1);
+  net.Send(0, 1, std::make_shared<ReliableProbe>());
+  net.DisconnectNode(0);
+  EXPECT_EQ(net.PendingCount(), 1u);
+  EXPECT_EQ(net.UnackedCount(), 0u);
+
+  Recorder reborn;
+  net.RegisterNode(1, &reborn);
+  EXPECT_EQ(net.PendingCount(), 0u);
+  EXPECT_EQ(net.ReachableUnackedCount(), 0u);
+  EXPECT_FALSE(net.DeliverOne());
+  net.RunUntilIdle();
+  EXPECT_TRUE(reborn.received.empty());
+}
+
+// A reliable request the coalescing layer never batches (so DropParked may
+// drop it); the receiver answers each one with a batchable reliable reply.
+struct RequestProbe : public Payload {
+  MsgKind kind() const override { return MsgKind::kAcquireRequest; }
+  MsgCategory category() const override { return MsgCategory::kDsm; }
+  size_t WireSize() const override { return 16; }
+};
+
+class Responder : public MessageHandler {
+ public:
+  explicit Responder(Network* net) : net_(net) {}
+  void HandleMessage(const Message& msg) override {
+    if (msg.payload->kind() == MsgKind::kAcquireRequest) {
+      net_->Send(msg.dst, msg.src, std::make_shared<ReliableProbe>());
+    }
+  }
+
+ private:
+  Network* net_;
+};
+
+// The delivery pick, the retransmit timers and the quiescence count walk only
+// the channels holding queued or unacked traffic.  A seeded random schedule of
+// every step that changes a queue or an unacked map checks that walk against
+// the full scans after each step: DeliverOne finds work exactly when the
+// network was not idle, and with no partition up the reachable unacked count
+// is everything unacked minus what is held for down nodes.
+TEST(Network, BusyChannelIndexAgreesWithFullScans) {
+  constexpr NodeId kNodes = 5;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Network net(seed);
+    net.set_batch_policy(BatchPolicy{.enabled = true});
+    net.set_loss_rate(0.1);
+    net.set_duplication_rate(0.1);
+    net.set_reorder_rate(0.2);
+    net.set_reliable_loss_rate(0.2);
+    net.set_ack_loss_rate(0.2);
+    std::vector<Responder> handlers(kNodes, Responder(&net));
+    for (NodeId n = 0; n < kNodes; ++n) {
+      net.RegisterNode(n, &handlers[n]);
+    }
+    std::set<std::pair<NodeId, NodeId>> partitions;
+    Rng rng(DeriveStreamSeed(seed, RngStream::kWorkload));
+    for (int step = 0; step < 3000; ++step) {
+      NodeId a = static_cast<NodeId>(rng.Below(kNodes));
+      NodeId b = static_cast<NodeId>((a + 1 + rng.Below(kNodes - 1)) % kNodes);
+      switch (rng.Below(12)) {
+        case 0:
+        case 1:
+          net.Send(a, b, std::make_shared<ReliableProbe>());
+          break;
+        case 2:
+          net.Send(a, b, std::make_shared<RequestProbe>());
+          break;
+        case 3:
+          net.Send(a, b, std::make_shared<UnreliableProbe>());
+          break;
+        case 4:
+          net.FireRetransmitTimers();
+          break;
+        case 5:
+          net.PartitionNodes(a, b);
+          partitions.insert({std::min(a, b), std::max(a, b)});
+          break;
+        case 6:
+          if (!partitions.empty()) {
+            net.HealPartition(partitions.begin()->first, partitions.begin()->second);
+            partitions.erase(partitions.begin());
+          }
+          break;
+        case 7:
+          net.DisconnectNode(a);
+          break;
+        case 8:
+          net.RegisterNode(a, &handlers[a]);
+          break;
+        case 9:
+          net.DropParked(a, b, MsgKind::kAcquireRequest);
+          break;
+        case 10: {
+          LinkProfile slow;
+          slow.latency_ticks = 1 + rng.Below(8);
+          net.InstallLinkProfile(a, b, slow);
+          break;
+        }
+        case 11:
+          net.ClearLinkProfile(a, b);
+          break;
+      }
+      bool busy = !net.Idle();
+      ASSERT_EQ(net.DeliverOne(), busy) << "step " << step;
+      if (partitions.empty()) {
+        ASSERT_EQ(net.ReachableUnackedCount(), net.UnackedCount() - net.HeldCount())
+            << "step " << step;
+      }
+    }
+    for (const auto& [a, b] : partitions) {
+      net.HealPartition(a, b);
+    }
+    for (NodeId n = 0; n < kNodes; ++n) {
+      net.RegisterNode(n, &handlers[n]);
+    }
+    net.RunUntilIdle();
+    EXPECT_EQ(net.UnackedCount(), 0u);
+  }
 }
 
 }  // namespace

@@ -156,7 +156,7 @@ TEST_P(Fig1Scale, InterBunchChainSurvivesPerBunchCollections) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Scale, Fig1Scale, ::testing::Values(4, 8, 16),
+INSTANTIATE_TEST_SUITE_P(Scale, Fig1Scale, ::testing::Values(4, 8, 16, 64),
                          [](const ::testing::TestParamInfo<size_t>& info) {
                            return "n" + std::to_string(info.param);
                          });

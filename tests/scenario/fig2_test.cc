@@ -151,7 +151,7 @@ TEST_P(Fig2Scale, TokenWalksAllNodesAndEndsUnique) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Scale, Fig2Scale, ::testing::Values(4, 8, 16),
+INSTANTIATE_TEST_SUITE_P(Scale, Fig2Scale, ::testing::Values(4, 8, 16, 64),
                          [](const ::testing::TestParamInfo<size_t>& info) {
                            return "n" + std::to_string(info.param);
                          });

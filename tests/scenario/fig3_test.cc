@@ -194,7 +194,7 @@ TEST_P(Fig3Scale, WriteUpgradeInvalidatesAllReplicas) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Scale, Fig3Scale, ::testing::Values(4, 8, 16),
+INSTANTIATE_TEST_SUITE_P(Scale, Fig3Scale, ::testing::Values(4, 8, 16, 64),
                          [](const ::testing::TestParamInfo<size_t>& info) {
                            return "n" + std::to_string(info.param);
                          });
