@@ -36,17 +36,9 @@ Gaddr ReplicaStore::ResolveForward(Gaddr addr) const {
   // once before this node caught up; bounded by hop budget as a safety net.
   for (int hops = 0; hops < 64; ++hops) {
     const SegmentImage* image = SegmentFor(current);
-    if (image == nullptr) {
-      return current;
-    }
-    size_t off = OffsetInSegment(current);
-    if (off < kHeaderBytes) {
-      return current;
-    }
     // Only treat the address as an object if the object-map confirms a header
     // there; a stale address into reused space must not be chased.
-    size_t header_slot = (off - kHeaderBytes) / kSlotBytes;
-    if (!image->object_map().Test(header_slot)) {
+    if (image == nullptr || !image->HasObjectAt(current)) {
       return current;
     }
     const ObjectHeader* header = image->HeaderOf(current);
@@ -61,14 +53,7 @@ Gaddr ReplicaStore::ResolveForward(Gaddr addr) const {
 
 bool ReplicaStore::HasObjectAt(Gaddr addr) const {
   const SegmentImage* image = SegmentFor(addr);
-  if (image == nullptr) {
-    return false;
-  }
-  size_t off = OffsetInSegment(addr);
-  if (off < kHeaderBytes) {
-    return false;
-  }
-  return image->object_map().Test((off - kHeaderBytes) / kSlotBytes);
+  return image != nullptr && image->HasObjectAt(addr);
 }
 
 uint64_t ReplicaStore::ReadSlot(Gaddr obj_addr, size_t slot) const {
@@ -108,8 +93,12 @@ ObjectImage ReplicaStore::CaptureObject(Gaddr obj_addr) const {
   out.header = *image->HeaderOf(obj_addr);
   const uint32_t size = out.header.size_slots;
   // Bulk-copy the slots, then mark ref slots straight off the ref-map words.
-  const uint64_t* src = const_cast<SegmentImage*>(image)->SlotPtr(obj_addr, 0);
-  out.slots.assign(src, src + size);
+  // A slotless object has no slot to point at: its data address may be the
+  // cursor.
+  if (size > 0) {
+    const uint64_t* src = const_cast<SegmentImage*>(image)->SlotPtr(obj_addr, 0);
+    out.slots.assign(src, src + size);
+  }
   out.slot_is_ref.assign(size, 0);
   image->ForEachRefSlotOf(obj_addr, size,
                           [&](size_t slot, uint64_t) { out.slot_is_ref[slot] = 1; });
@@ -157,7 +146,8 @@ void ReplicaStore::CopyObjectBytes(Gaddr from_addr, Gaddr to_addr) {
   ObjectHeader copy = *src_header;
   copy.flags &= ~kObjFlagForwarded;
   copy.forward = kNullAddr;
-  dst->InstallObject(to_addr, copy, src->SlotPtr(from_addr, 0));
+  dst->InstallObject(to_addr, copy,
+                     copy.size_slots > 0 ? src->SlotPtr(from_addr, 0) : nullptr);
   // Reference-map bits travel with the object: clear the destination range,
   // then set only the bits the source ref-map has (word-level scan).
   size_t src_first = src->SlotIndexOf(from_addr);

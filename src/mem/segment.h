@@ -10,7 +10,20 @@
 //
 // Like the prototype's mapped pages, an image's bytes are an anonymous private
 // mapping of the whole segment: the kernel commits a zeroed page only where
-// the program writes, so a nearly empty segment costs about one page.
+// the program writes, so a nearly empty segment costs about one page.  The
+// maps cover only the slots below the allocation cursor and grow with it, so
+// they too cost what the image holds.
+//
+// Replicas map and drop images at collection rate (every BGC evacuates into
+// fresh to-space segments), so a dropped image's mapping is not unmapped but
+// kept on its thread's list of spares for the next image.  Every byte an
+// image writes lies below its cursor (SlotPtr checks it), so on release the
+// first page is zeroed below the cursor and the written pages past it are
+// handed back to the kernel: a spare holds at most one resident page, zeroed,
+// and a reused image is byte for byte a fresh one.  Dense to-spaces therefore
+// still fault their pages in on reuse; keeping them would let a spare that
+// comes back as a sparse replica hold memory it never uses.  A thread's list
+// never holds more spares than the most images the thread held at once.
 
 #ifndef SRC_MEM_SEGMENT_H_
 #define SRC_MEM_SEGMENT_H_
@@ -54,10 +67,22 @@ class SegmentImage {
     return const_cast<SegmentImage*>(this)->HeaderOf(obj_addr);
   }
 
+  // Every slot lies below the cursor: a released image is zeroed only there.
   uint64_t* SlotPtr(Gaddr obj_addr, size_t slot) {
     size_t off = OffsetInSegment(obj_addr) + slot * kSlotBytes;
-    BMX_CHECK_LT(off, kSegmentBytes);
+    BMX_CHECK_LT(off, cursor_);
     return reinterpret_cast<uint64_t*>(bytes_ + off);
+  }
+
+  // Whether an object's header sits just below `obj_addr`.  A slot past the
+  // object-map, which ends at the cursor, holds no object.
+  bool HasObjectAt(Gaddr obj_addr) const {
+    size_t off = OffsetInSegment(obj_addr);
+    if (off < kHeaderBytes) {
+      return false;
+    }
+    size_t header_slot = (off - kHeaderBytes) / kSlotBytes;
+    return header_slot < object_map_.size() && object_map_.Test(header_slot);
   }
 
   size_t SlotIndexOf(Gaddr addr) const { return OffsetInSegment(addr) / kSlotBytes; }
@@ -78,9 +103,9 @@ class SegmentImage {
   // The allocation cursor: every object header lies below it, because
   // Allocate and InstallObject move it past each object they place.
   size_t allocated_bytes() const { return cursor_; }
-  // For recovery: restore the allocation cursor saved at checkpoint time,
-  // together with the object-map it bounds.
-  void set_allocated_bytes(size_t cursor) { cursor_ = cursor; }
+  // For recovery into a fresh image: restore the allocation cursor saved at
+  // checkpoint time; the maps grow to cover the slots below it.
+  void set_allocated_bytes(size_t cursor);
 
   // Iterates object data addresses present in this image, in address order.
   // Word-level scan of the object-map below the cursor: empty 64-slot runs
@@ -116,11 +141,14 @@ class SegmentImage {
   }
 
  private:
+  // Grows both maps to one bit per slot below the cursor.
+  void GrowMapsToCursor();
+
   SegmentId id_;
   BunchId bunch_;
   uint8_t* bytes_;  // kSegmentBytes of private anonymous mapping
-  Bitmap object_map_;
-  Bitmap ref_map_;
+  Bitmap object_map_;  // one bit per slot below the cursor
+  Bitmap ref_map_;     // likewise
   size_t cursor_ = kSlotBytes;  // slot 0 unused so no object sits at offset 0
 };
 

@@ -23,6 +23,36 @@ uint64_t GetU64(const uint8_t* p) {
   return v;
 }
 
+// The meta file's fixed format: cursor, bunch, then the object-map and the
+// ref-map as words of a whole segment.  An image's maps end at its cursor, so
+// the words past them are written as zero.
+constexpr size_t kMapWords = kSlotsPerSegment / 64;
+constexpr size_t kMetaBytes = 16 + 2 * kMapWords * 8;
+
+void PutMapWords(std::vector<uint8_t>* out, const Bitmap& map) {
+  for (uint64_t word : map.words()) {
+    PutU64(out, word);
+  }
+  out->resize(out->size() + (kMapWords - map.words().size()) * 8, 0);
+}
+
+// Loads one map of a meta file into `map`, which the cursor has sized.  Walks
+// stop at the cursor, so a bit set at or past it would be an object or a
+// reference that no walk visits.
+void LoadMapWords(const uint8_t* raw, size_t cursor, Bitmap* map, SegmentId seg,
+                  const char* what) {
+  std::vector<uint64_t> words(kMapWords);
+  for (size_t i = 0; i < kMapWords; ++i) {
+    words[i] = GetU64(raw + i * 8);
+  }
+  Bitmap whole(kSlotsPerSegment);
+  whole.LoadWords(words);
+  BMX_CHECK_EQ(whole.FindNextSet(cursor / kSlotBytes), whole.size())
+      << "corrupt segment meta for " << seg << ": " << what << " past cursor " << cursor;
+  words.resize(map->words().size());
+  map->LoadWords(words);
+}
+
 }  // namespace
 
 PersistenceManager::PersistenceManager(Disk* disk, NodeId node)
@@ -89,14 +119,11 @@ const std::map<SegmentId, BunchId>& PersistenceManager::Manifest() {
 
 std::vector<uint8_t> PersistenceManager::EncodeMeta(SegmentImage* image) const {
   std::vector<uint8_t> out;
+  out.reserve(kMetaBytes);
   PutU64(&out, image->allocated_bytes());
   PutU64(&out, image->bunch());
-  for (uint64_t word : image->object_map().words()) {
-    PutU64(&out, word);
-  }
-  for (uint64_t word : image->ref_map().words()) {
-    PutU64(&out, word);
-  }
+  PutMapWords(&out, image->object_map());
+  PutMapWords(&out, image->ref_map());
   return out;
 }
 
@@ -156,7 +183,6 @@ void PersistenceManager::CommitObjects(
     // Cursor + bunch header of the meta sidecar always commit (allocations
     // move the cursor).
     rvm_.SetRange(tx, meta, 0, 16);
-    size_t map_words = image->object_map().words().size();
     for (Gaddr addr : addrs) {
       const ObjectHeader* header = image->HeaderOf(addr);
       size_t header_off = OffsetInSegment(addr) - kHeaderBytes;
@@ -168,7 +194,7 @@ void PersistenceManager::CommitObjects(
       size_t first_word = first_slot / 64;
       size_t last_word = last_slot / 64;
       rvm_.SetRange(tx, meta, 16 + first_word * 8, (last_word - first_word + 1) * 8);
-      rvm_.SetRange(tx, meta, 16 + (map_words + first_word) * 8,
+      rvm_.SetRange(tx, meta, 16 + (kMapWords + first_word) * 8,
                     (last_word - first_word + 1) * 8);
     }
   }
@@ -200,8 +226,7 @@ bool PersistenceManager::LoadSegment(SegmentImage* image) {
     return false;
   }
   const std::vector<uint8_t>& raw = disk_->Contents(meta);
-  size_t map_words = image->object_map().words().size();
-  BMX_CHECK_EQ(raw.size(), 16 + 2 * map_words * 8) << "corrupt segment meta for " << image->id();
+  BMX_CHECK_EQ(raw.size(), kMetaBytes) << "corrupt segment meta for " << image->id();
   const size_t cursor = GetU64(raw.data());
   BMX_CHECK_LE(cursor, kSegmentBytes) << "corrupt segment meta for " << image->id() << ": cursor "
                                       << cursor;
@@ -209,19 +234,9 @@ bool PersistenceManager::LoadSegment(SegmentImage* image) {
   // read back: the image commits no page above them.
   disk_->Read(data, 0, image->bytes(), cursor);
   image->set_allocated_bytes(cursor);
-  std::vector<uint64_t> words(map_words);
-  for (size_t i = 0; i < map_words; ++i) {
-    words[i] = GetU64(raw.data() + 16 + i * 8);
-  }
-  image->object_map().LoadWords(words);
-  // Object walks stop at the cursor, so a header bit past it would be an
-  // object that no walk visits.
-  BMX_CHECK_EQ(image->object_map().FindNextSet(cursor / kSlotBytes), image->object_map().size())
-      << "corrupt segment meta for " << image->id() << ": object past cursor " << cursor;
-  for (size_t i = 0; i < map_words; ++i) {
-    words[i] = GetU64(raw.data() + 16 + (map_words + i) * 8);
-  }
-  image->ref_map().LoadWords(words);
+  LoadMapWords(raw.data() + 16, cursor, &image->object_map(), image->id(), "object");
+  LoadMapWords(raw.data() + 16 + kMapWords * 8, cursor, &image->ref_map(), image->id(),
+               "reference");
   return true;
 }
 

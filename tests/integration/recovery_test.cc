@@ -74,6 +74,37 @@ TEST(Recovery, LoadRejectsAnObjectPastTheCursor) {
   EXPECT_DEATH(persistence.LoadSegment(&corrupt), "corrupt segment meta for 4: cursor");
 }
 
+TEST(Recovery, LoadRejectsAReferencePastTheCursor) {
+  Disk disk;
+  PersistenceManager persistence(&disk, /*node=*/0);
+  SegmentImage image(/*id=*/4, /*bunch=*/1);
+  ASSERT_NE(image.Allocate(/*oid=*/1, /*size_slots=*/2), kNullAddr);
+  persistence.CheckpointSegments({&image});
+  persistence.TruncateLog();
+
+  // The meta file holds the cursor, the bunch, then the object-map and the
+  // ref-map as a whole segment's words each.  Set the ref-map bit of the last
+  // slot below the cursor, which loads, then of the slot at the cursor.
+  const size_t ref_map_at = 16 + kSlotsPerSegment / 8;
+  const size_t cursor_slot = image.allocated_bytes() / kSlotBytes;
+  ASSERT_LT(cursor_slot, 64u);
+  auto write_ref_word = [&](uint64_t word) {
+    uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<uint8_t>(word >> (i * 8));
+    }
+    disk.Write("seg_4.meta", ref_map_at, bytes, sizeof bytes);
+  };
+  write_ref_word(uint64_t{1} << (cursor_slot - 1));
+  SegmentImage loaded(4, 1);
+  ASSERT_TRUE(persistence.LoadSegment(&loaded));
+  EXPECT_TRUE(loaded.ref_map().Test(cursor_slot - 1));
+
+  write_ref_word(uint64_t{1} << cursor_slot);
+  SegmentImage corrupt(4, 1);
+  EXPECT_DEATH(persistence.LoadSegment(&corrupt), "reference past cursor");
+}
+
 TEST(Recovery, CheckpointLogsOnlyWhatTheSegmentHolds) {
   Disk disk;
   PersistenceManager persistence(&disk, /*node=*/0);

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/mem/directory.h"
@@ -72,6 +77,83 @@ TEST(SegmentImage, UntouchedPagesAreNotCommitted) {
   ASSERT_NE(seg.Allocate(/*oid=*/1, /*size_slots=*/3), kNullAddr);
   EXPECT_LE(ResidentPages(seg), 1u);
 }
+
+TEST(SegmentImage, MapsGrowWithTheCursor) {
+  SegmentImage seg(3, 1);
+  EXPECT_EQ(seg.object_map().size(), seg.allocated_bytes() / kSlotBytes);
+  ASSERT_NE(seg.Allocate(/*oid=*/1, /*size_slots=*/3), kNullAddr);
+  EXPECT_EQ(seg.object_map().size(), seg.allocated_bytes() / kSlotBytes);
+  EXPECT_EQ(seg.ref_map().size(), seg.allocated_bytes() / kSlotBytes);
+  EXPECT_EQ(seg.object_map().words().size(), 1u);
+  EXPECT_EQ(seg.ref_map().words().size(), 1u);
+}
+
+TEST(SegmentImage, AReleasedImageIsReusedAsAFreshOne) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const uint8_t* released = nullptr;
+  size_t written = 0;
+  {
+    SegmentImage seg(3, 1);
+    for (Oid oid = 1; seg.allocated_bytes() < 5 * page; ++oid) {
+      Gaddr a = seg.Allocate(oid, /*size_slots=*/30);
+      ASSERT_NE(a, kNullAddr);
+      for (size_t slot = 0; slot < 30; ++slot) {
+        *seg.SlotPtr(a, slot) = ~uint64_t{0};
+      }
+      seg.ref_map().Set(seg.SlotIndexOf(a));
+    }
+    released = seg.bytes();
+    written = seg.allocated_bytes();
+    EXPECT_GT(ResidentPages(seg), 5u);
+  }
+  // The thread's most recently released mapping comes back first.
+  SegmentImage next(4, 1);
+  ASSERT_EQ(next.bytes(), released);
+  EXPECT_EQ(next.object_map().words().size(), 1u);
+  EXPECT_EQ(next.object_map().CountSet(), 0u);
+  EXPECT_EQ(next.ref_map().words().size(), 1u);
+  EXPECT_EQ(next.ref_map().CountSet(), 0u);
+  Gaddr a = next.Allocate(/*oid=*/9, /*size_slots=*/2);
+  ASSERT_NE(a, kNullAddr);
+  EXPECT_LE(ResidentPages(next), 1u);
+  EXPECT_EQ(*next.SlotPtr(a, 0), 0u);
+  EXPECT_EQ(*next.SlotPtr(a, 1), 0u);
+  const uint8_t* rest = next.bytes() + next.allocated_bytes();
+  const uint8_t* end = next.bytes() + written;
+  EXPECT_TRUE(std::all_of(rest, end, [](uint8_t b) { return b == 0; }));
+}
+
+TEST(SegmentImage, AnImageOutlivingItsThreadsSparesIsUnmapped) {
+  uint8_t* bytes = nullptr;
+  std::thread([&bytes] {
+    // Constructed before the thread's spare list, so destroyed after it.
+    thread_local std::unique_ptr<SegmentImage> late;
+    late = std::make_unique<SegmentImage>(3, 1);
+    ASSERT_NE(late->Allocate(/*oid=*/1, /*size_slots=*/2), kNullAddr);
+    bytes = late->bytes();
+  }).join();
+  ASSERT_NE(bytes, nullptr);
+  unsigned char resident = 0;
+  EXPECT_EQ(mincore(bytes, static_cast<size_t>(sysconf(_SC_PAGESIZE)), &resident), -1);
+}
+
+TEST(SegmentImage, SlotAtTheCursorIsRejected) {
+  SegmentImage seg(3, 1);
+  Gaddr a = seg.Allocate(/*oid=*/1, /*size_slots=*/2);
+  *seg.SlotPtr(a, 1) = 5;  // the last slot lies just below the cursor
+  EXPECT_DEATH(seg.SlotPtr(a, 2), R"(\(off\) < \(cursor_\))");
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(SegmentImage, AStalePointerIntoAReleasedImageIsReported) {
+  volatile uint64_t* stale = nullptr;
+  {
+    SegmentImage seg(3, 1);
+    stale = seg.SlotPtr(seg.Allocate(/*oid=*/1, /*size_slots=*/2), 0);
+  }
+  EXPECT_DEATH(*stale = 1, "use-after-poison");
+}
+#endif
 
 TEST(SegmentImage, ForEachObjectFindsAnObjectInstalledPastTheCursor) {
   SegmentImage replica(2, 1);
@@ -234,6 +316,31 @@ TEST(ReplicaStore, ResolveOfUnmappedAddressIsIdentity) {
   Gaddr somewhere = MakeAddr(55, 4096);
   EXPECT_EQ(store.ResolveForward(somewhere), somewhere);
   EXPECT_FALSE(store.HasObjectAt(somewhere));
+}
+
+TEST(ReplicaStore, NoObjectPastTheCursor) {
+  ReplicaStore store;
+  SegmentImage& img = store.GetOrCreate(4, 1);
+  Gaddr a = img.Allocate(9, 2);
+  EXPECT_TRUE(store.HasObjectAt(a));
+  const Gaddr next = MakeAddr(4, img.allocated_bytes() + kHeaderBytes);
+  const Gaddr last = MakeAddr(4, kSegmentBytes - kSlotBytes);
+  for (Gaddr past : {next, last}) {
+    EXPECT_FALSE(store.HasObjectAt(past));
+    EXPECT_EQ(store.ResolveForward(past), past);
+  }
+}
+
+TEST(ReplicaStore, SlotlessObjectAtTheCursorIsCaptured) {
+  ReplicaStore store;
+  SegmentImage& img = store.GetOrCreate(4, 1);
+  store.GetOrCreate(5, 1);
+  Gaddr a = img.Allocate(9, 0);
+  ASSERT_EQ(OffsetInSegment(a), img.allocated_bytes());
+  EXPECT_TRUE(store.CaptureObject(a).slots.empty());
+  Gaddr target = MakeAddr(5, 512 + kHeaderBytes);
+  store.CopyObjectBytes(a, target);
+  EXPECT_EQ(store.HeaderOf(target)->oid, 9u);
 }
 
 TEST(ReplicaStore, SlotAndRefBitAccess) {
