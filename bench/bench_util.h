@@ -72,51 +72,14 @@ struct BenchRig {
 
 // Hot-path counter report, printed by every bench binary after its runs so
 // the scan-kernel / lookup-table / coalescing effects are visible next to the
-// wall-clock numbers.
+// wall-clock numbers: one `[perf]` line of name=value pairs, every counter in
+// declaration order.
 inline void PrintPerfCounters() {
-  const PerfCounters& p = GlobalPerfCounters();
-  std::printf(
-      "[perf] slots_scanned=%llu words_skipped=%llu objects_walked=%llu "
-      "ref_slots_visited=%llu\n"
-      "[perf] segment_probes=%llu segment_mru_hits=%llu oid_probes=%llu "
-      "directory_probes=%llu token_probes=%llu\n"
-      "[perf] piggyback_updates_coalesced=%llu piggyback_bytes_saved=%llu "
-      "piggyback_overflow_spills=%llu\n"
-      "[perf] recoveries=%llu epoch_rejected_msgs=%llu fault_points_hit=%llu "
-      "recovery_query_bytes=%llu\n"
-      "[perf] pool_regions=%llu pool_chunks_executed=%llu pool_steals=%llu\n"
-      "[perf] history_events_recorded=%llu consistency_checks_run=%llu "
-      "consistency_violations=%llu\n"
-      "[perf] zombie_dropped_msgs=%llu obligations_opened=%llu "
-      "obligations_retired=%llu liveness_checks_run=%llu "
-      "liveness_violations=%llu\n",
-      static_cast<unsigned long long>(p.slots_scanned),
-      static_cast<unsigned long long>(p.words_skipped),
-      static_cast<unsigned long long>(p.objects_walked),
-      static_cast<unsigned long long>(p.ref_slots_visited),
-      static_cast<unsigned long long>(p.segment_probes),
-      static_cast<unsigned long long>(p.segment_mru_hits),
-      static_cast<unsigned long long>(p.oid_probes),
-      static_cast<unsigned long long>(p.directory_probes),
-      static_cast<unsigned long long>(p.token_probes),
-      static_cast<unsigned long long>(p.piggyback_updates_coalesced),
-      static_cast<unsigned long long>(p.piggyback_bytes_saved),
-      static_cast<unsigned long long>(p.piggyback_overflow_spills),
-      static_cast<unsigned long long>(p.recoveries),
-      static_cast<unsigned long long>(p.epoch_rejected_msgs),
-      static_cast<unsigned long long>(p.fault_points_hit),
-      static_cast<unsigned long long>(p.recovery_query_bytes),
-      static_cast<unsigned long long>(p.pool_regions),
-      static_cast<unsigned long long>(p.pool_chunks_executed),
-      static_cast<unsigned long long>(p.pool_steals),
-      static_cast<unsigned long long>(p.history_events_recorded),
-      static_cast<unsigned long long>(p.consistency_checks_run),
-      static_cast<unsigned long long>(p.consistency_violations),
-      static_cast<unsigned long long>(p.zombie_dropped_msgs),
-      static_cast<unsigned long long>(p.obligations_opened),
-      static_cast<unsigned long long>(p.obligations_retired),
-      static_cast<unsigned long long>(p.liveness_checks_run),
-      static_cast<unsigned long long>(p.liveness_violations));
+  std::printf("[perf]");
+  GlobalPerfCounters().ForEach([](const char* name, uint64_t value) {
+    std::printf(" %s=%llu", name, static_cast<unsigned long long>(value));
+  });
+  std::printf("\n");
 }
 
 // Bench entry point shared by every binary.  Extends google-benchmark's CLI

@@ -7,8 +7,9 @@ Both files hold {"metrics": {...}, "counts": {...}}: the count-derived
 end-to-end metrics and the layer counters of one seed's cycle, which repeat
 exactly for a given build and seed.  Every key of both sections must be
 present in both files with equal values, except the keys named by --ignore
-(in either section).  Prints each differing or missing key with both values.
-Exits 1 if there is any, else 0.
+(in either section).  Prints each differing or missing key with both values,
+ignored ones too, marked "(ignored)", so a counter that moves shows in the
+log.  Exits 1 if a key that is not ignored differs, else 0.
 """
 
 import argparse
@@ -28,14 +29,12 @@ def load(path):
     return data
 
 
-def differences(expected, actual, ignore):
+def differences(expected, actual):
     """Yields (section, key, expected value, actual value) for each key whose
     values differ or that one side lacks."""
     for section in SECTIONS:
         want, got = expected[section], actual[section]
         for key in sorted(set(want) | set(got)):
-            if key in ignore:
-                continue
             a, b = want.get(key, MISSING), got.get(key, MISSING)
             if a != b:
                 yield section, key, a, b
@@ -46,12 +45,17 @@ def main():
     parser.add_argument("expected")
     parser.add_argument("actual")
     parser.add_argument("--ignore", nargs="+", action="extend", default=[], metavar="KEY",
-                        help="a key not compared, in either section")
+                        help="a key whose difference, in either section, does not fail")
     args = parser.parse_args()
 
-    diffs = list(differences(load(args.expected), load(args.actual), set(args.ignore)))
-    for section, key, a, b in diffs:
-        print("%s.%s: expected %s, actual %s" % (section, key, a, b))
+    ignore = set(args.ignore)
+    diffs = []
+    for section, key, a, b in differences(load(args.expected), load(args.actual)):
+        ignored = key in ignore
+        print("%s.%s: expected %s, actual %s%s" % (section, key, a, b,
+                                                  " (ignored)" if ignored else ""))
+        if not ignored:
+            diffs.append(key)
     if diffs:
         print("%d key(s) differ between %s and %s" % (len(diffs), args.expected, args.actual),
               file=sys.stderr)

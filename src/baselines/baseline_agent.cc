@@ -64,11 +64,8 @@ void BaselineAgent::HandleRcDelta(const Message& msg, int64_t delta) {
   Gaddr addr = msg.payload->kind() == MsgKind::kRcIncrement
                    ? static_cast<const RcIncrementPayload&>(*msg.payload).target_addr
                    : static_cast<const RcDecrementPayload&>(*msg.payload).target_addr;
-  Gaddr resolved = node_->dsm().ResolveAddr(addr);
-  Oid oid = kNullOid;
-  if (node_->store().HasObjectAt(resolved)) {
-    oid = node_->store().HeaderOf(resolved)->oid;
-  }
+  const ObjectHeader* header = node_->store().HeaderOf(node_->dsm().ResolveAddr(addr));
+  Oid oid = header != nullptr ? header->oid : kNullOid;
   int64_t& count = rc_.counts[oid];
   count += delta;
   if (count == 0 && delta < 0) {

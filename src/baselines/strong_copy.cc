@@ -40,6 +40,7 @@ void StrongCopyCollector::Collect(NodeId node_id, BunchId bunch) {
     stats_.tokens_acquired++;
     Gaddr current = node.dsm().ResolveAddr(addr);
     ObjectHeader* header = node.store().HeaderOf(current);
+    BMX_CHECK(header != nullptr) << "strong-copy collector holds no bytes at " << current;
     Oid oid = header->oid;
     Gaddr new_addr = allocate(oid, header->size_slots);
     node.store().CopyObjectBytes(current, new_addr);

@@ -21,81 +21,73 @@
 
 namespace bmx {
 
+// Every counter, in declaration order, as X(name).  The struct, Add and
+// ForEach are generated from this one list.
+#define BMX_PERF_COUNTERS(X)                                                  \
+  /* Scan kernels (bitmap word-level iteration). */                           \
+  X(slots_scanned)      /* set bits actually visited by a kernel */           \
+  X(words_skipped)      /* all-zero 64-slot words skipped whole */            \
+  X(objects_walked)     /* objects visited via object-map iteration */        \
+  X(ref_slots_visited)  /* reference slots visited via ref-map kernels */     \
+                                                                              \
+  /* Lookup structures. */                                                    \
+  X(segment_probes)     /* ReplicaStore segment-table lookups */              \
+  X(segment_mru_hits)   /* ...answered by the one-entry MRU cache */          \
+  X(oid_probes)         /* ReplicaStore oid→address lookups */                \
+  X(directory_probes)   /* SegmentDirectory flat-table lookups */             \
+  X(token_probes)       /* DsmNode token-table lookups */                     \
+                                                                              \
+  /* Piggyback coalescing. */                                                 \
+  X(piggyback_updates_coalesced)  /* AddressUpdate entries dropped */         \
+  X(piggyback_bytes_saved)        /* wire bytes those entries cost */         \
+  X(piggyback_overflow_spills)    /* caps hit: tail sent in background */     \
+                                                                              \
+  /* Crash recovery and fault injection. */                                   \
+  X(recoveries)            /* RecoveryManager runs completed */               \
+  X(epoch_rejected_msgs)   /* messages dropped as stale-incarnation */        \
+  X(fault_points_hit)      /* FAULT_POINT sites executed */                   \
+  X(recovery_query_bytes)  /* wire bytes of recovery query/reply traffic */   \
+                                                                              \
+  /* Task pool (deterministic parallel runtime). */                           \
+  X(pool_regions)          /* multi-threaded ParallelFor calls */             \
+  X(pool_chunks_executed)  /* indices those calls ran */                      \
+  /* Indices a participant ran beyond its even share, */                      \
+  /* ceil(n / participants). */                                               \
+  X(pool_steals)                                                              \
+                                                                              \
+  /* Client-history recording and consistency verdicts. */                    \
+  X(history_events_recorded)  /* client-observable events recorded */         \
+  X(consistency_checks_run)   /* ConsistencyChecker::Check() calls */         \
+  X(consistency_violations)   /* violations those checks reported */          \
+                                                                              \
+  /* Gray-failure injection and liveness tracking. */                         \
+  X(zombie_dropped_msgs)   /* dispatches swallowed by a zombie link/peer */   \
+  X(obligations_opened)    /* progress obligations registered */              \
+  X(obligations_retired)   /* ...discharged before a verdict */               \
+  X(liveness_checks_run)   /* LivenessOracle evaluations */                   \
+  X(liveness_violations)   /* no-progress verdicts reported */
+
 struct PerfCounters {
-  // Scan kernels (bitmap word-level iteration).
-  uint64_t slots_scanned = 0;       // set bits actually visited by a kernel
-  uint64_t words_skipped = 0;       // all-zero 64-slot words skipped whole
-  uint64_t objects_walked = 0;      // objects visited via object-map iteration
-  uint64_t ref_slots_visited = 0;   // reference slots visited via ref-map kernels
-
-  // Lookup structures.
-  uint64_t segment_probes = 0;      // ReplicaStore segment-table lookups
-  uint64_t segment_mru_hits = 0;    // ...answered by the one-entry MRU cache
-  uint64_t oid_probes = 0;          // ReplicaStore oid→address lookups
-  uint64_t directory_probes = 0;    // SegmentDirectory flat-table lookups
-  uint64_t token_probes = 0;        // DsmNode token-table lookups
-
-  // Piggyback coalescing.
-  uint64_t piggyback_updates_coalesced = 0;  // AddressUpdate entries dropped
-  uint64_t piggyback_bytes_saved = 0;        // wire bytes those entries cost
-  uint64_t piggyback_overflow_spills = 0;    // caps hit: tail sent in background
-
-  // Crash recovery and fault injection.
-  uint64_t recoveries = 0;            // RecoveryManager runs completed
-  uint64_t epoch_rejected_msgs = 0;   // messages dropped as stale-incarnation
-  uint64_t fault_points_hit = 0;      // FAULT_POINT sites executed
-  uint64_t recovery_query_bytes = 0;  // wire bytes of recovery query/reply traffic
-
-  // Task pool (deterministic parallel runtime).
-  uint64_t pool_regions = 0;          // multi-threaded ParallelFor calls
-  uint64_t pool_chunks_executed = 0;  // indices those calls ran
-  // Indices a participant ran beyond its even share, ceil(n / participants).
-  uint64_t pool_steals = 0;
-
-  // Client-history recording and consistency verdicts.
-  uint64_t history_events_recorded = 0;  // client-observable events recorded
-  uint64_t consistency_checks_run = 0;   // ConsistencyChecker::Check() calls
-  uint64_t consistency_violations = 0;   // violations those checks reported
-
-  // Gray-failure injection and liveness tracking.
-  uint64_t zombie_dropped_msgs = 0;    // dispatches swallowed by a zombie link/peer
-  uint64_t obligations_opened = 0;     // progress obligations registered
-  uint64_t obligations_retired = 0;    // ...discharged before a verdict
-  uint64_t liveness_checks_run = 0;    // LivenessOracle evaluations
-  uint64_t liveness_violations = 0;    // no-progress verdicts reported
+#define BMX_PERF_DECLARE(name) uint64_t name = 0;
+  BMX_PERF_COUNTERS(BMX_PERF_DECLARE)
+#undef BMX_PERF_DECLARE
 
   void Reset() { *this = PerfCounters{}; }
 
   // Field-wise accumulation; TaskPool::ParallelFor uses it to add its
   // helpers' counters to the caller's.
   void Add(const PerfCounters& o) {
-    slots_scanned += o.slots_scanned;
-    words_skipped += o.words_skipped;
-    objects_walked += o.objects_walked;
-    ref_slots_visited += o.ref_slots_visited;
-    segment_probes += o.segment_probes;
-    segment_mru_hits += o.segment_mru_hits;
-    oid_probes += o.oid_probes;
-    directory_probes += o.directory_probes;
-    token_probes += o.token_probes;
-    piggyback_updates_coalesced += o.piggyback_updates_coalesced;
-    piggyback_bytes_saved += o.piggyback_bytes_saved;
-    piggyback_overflow_spills += o.piggyback_overflow_spills;
-    recoveries += o.recoveries;
-    epoch_rejected_msgs += o.epoch_rejected_msgs;
-    fault_points_hit += o.fault_points_hit;
-    recovery_query_bytes += o.recovery_query_bytes;
-    pool_regions += o.pool_regions;
-    pool_chunks_executed += o.pool_chunks_executed;
-    pool_steals += o.pool_steals;
-    history_events_recorded += o.history_events_recorded;
-    consistency_checks_run += o.consistency_checks_run;
-    consistency_violations += o.consistency_violations;
-    zombie_dropped_msgs += o.zombie_dropped_msgs;
-    obligations_opened += o.obligations_opened;
-    obligations_retired += o.obligations_retired;
-    liveness_checks_run += o.liveness_checks_run;
-    liveness_violations += o.liveness_violations;
+#define BMX_PERF_ADD(name) name += o.name;
+    BMX_PERF_COUNTERS(BMX_PERF_ADD)
+#undef BMX_PERF_ADD
+  }
+
+  // Calls fn(name, value) for every counter, in declaration order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+#define BMX_PERF_VISIT(name) fn(#name, name);
+    BMX_PERF_COUNTERS(BMX_PERF_VISIT)
+#undef BMX_PERF_VISIT
   }
 };
 

@@ -26,11 +26,9 @@ Gaddr DsmNode::ResolveAddr(Gaddr addr) const {
   for (int hops = 0; hops < 1024; ++hops) {
     Gaddr next = current;
     // One in-heap forwarding hop at a time so every waypoint is recorded.
-    if (store_->HasObjectAt(current)) {
-      const ObjectHeader* header = store_->HeaderOf(current);
-      if (header->forwarded()) {
-        next = header->forward;
-      }
+    const ObjectHeader* header = store_->HeaderOf(current);
+    if (header != nullptr && header->forwarded()) {
+      next = header->forward;
     }
     if (next == current) {
       auto it = stale_forward_.find(current);
@@ -38,7 +36,7 @@ Gaddr DsmNode::ResolveAddr(Gaddr addr) const {
         next = it->second;
       }
     }
-    if (next == current && !store_->HasObjectAt(current)) {
+    if (next == current && header == nullptr) {
       // Local chain exhausted without bytes: jump forward to the directory's
       // canonical address (backstop for eroded local chains; resolution must
       // stay monotonic toward newer addresses).
@@ -58,12 +56,10 @@ Gaddr DsmNode::ResolveAddr(Gaddr addr) const {
       // history.  So it runs on every call, whatever the thread count; the
       // one thread that drives this node's cluster is its only reader.
       for (Gaddr waypoint : visited) {
-        if (store_->HasObjectAt(waypoint)) {
-          ObjectHeader* header = store_->HeaderOf(waypoint);
-          if (header->forwarded()) {
-            header->forward = current;
-            continue;
-          }
+        ObjectHeader* forwarder = store_->HeaderOf(waypoint);
+        if (forwarder != nullptr && forwarder->forwarded()) {
+          forwarder->forward = current;
+          continue;
         }
         auto it = stale_forward_.find(waypoint);
         if (it != stale_forward_.end()) {
@@ -94,7 +90,7 @@ Gaddr DsmNode::ResolveOid(Oid oid) const {
 
 Gaddr DsmNode::LocalCopyOf(Gaddr addr) const {
   Gaddr resolved = ResolveAddr(addr);
-  if (store_->HasObjectAt(resolved)) {
+  if (store_->HeaderOf(resolved) != nullptr) {
     return resolved;
   }
   // No bytes at the newest known address: fall back to wherever this node's
@@ -105,7 +101,7 @@ Gaddr DsmNode::LocalCopyOf(Gaddr addr) const {
     Gaddr local = store_->AddrOfOid(oid);
     if (local != kNullAddr) {
       Gaddr local_resolved = store_->ResolveForward(local);
-      if (store_->HasObjectAt(local_resolved)) {
+      if (store_->HeaderOf(local_resolved) != nullptr) {
         return local_resolved;
       }
     }
@@ -127,8 +123,8 @@ void DsmNode::AddStaleRouting(Gaddr addr, NodeId owner_hint) {
 
 Oid DsmNode::OidAt(Gaddr addr) const {
   Gaddr resolved = ResolveAddr(addr);
-  if (store_->HasObjectAt(resolved)) {
-    return store_->HeaderOf(resolved)->oid;
+  if (const ObjectHeader* header = store_->HeaderOf(resolved)) {
+    return header->oid;
   }
   // Local resolution exhausted: the directory knows every address the object
   // ever occupied (DESIGN.md — the page-based original resolves this through
@@ -287,7 +283,7 @@ bool DsmNode::AcquireRead(Gaddr addr, bool for_gc) {
     // Fast path requires both a cached token AND local bytes: a from-space
     // reclamation may have dropped the replica while the token stayed
     // cached, in which case the object must be re-fetched.
-    if (t.state != TokenState::kNone && store_->HasObjectAt(LocalCopyOf(resolved))) {
+    if (t.state != TokenState::kNone && store_->HeaderOf(LocalCopyOf(resolved)) != nullptr) {
       t.held = true;
       return true;
     }
@@ -543,15 +539,13 @@ std::vector<AddressUpdate> DsmNode::BuildInvariant1Updates(Oid oid, NodeId dst) 
   // A referent reached again (a second slot, or the object itself) finds its
   // chain marked sent and adds nothing: each chain ships once per grant.
   Gaddr addr = store_->AddrOfOid(oid);
-  if (addr != kNullAddr && store_->HasObjectAt(addr)) {
-    const ObjectHeader* header = store_->HeaderOf(addr);
+  if (const ObjectHeader* header = store_->HeaderOf(addr)) {
     store_->ForEachRefSlot(addr, header->size_slots, [&](size_t, uint64_t target) {
       if (target == kNullAddr) {
         return;
       }
-      Gaddr resolved = ResolveAddr(target);
-      if (store_->HasObjectAt(resolved)) {
-        left_out += AppendUnsentMoves(store_->HeaderOf(resolved)->oid, dst, &out);
+      if (const ObjectHeader* referent = store_->HeaderOf(ResolveAddr(target))) {
+        left_out += AppendUnsentMoves(referent->oid, dst, &out);
       }
     });
   }
@@ -667,7 +661,7 @@ void DsmNode::HandleAcquire(const Message& msg) {
   Gaddr reader_bytes = LocalCopyOf(req.addr);
   bool can_grant = t.owner || (mode_ == CopySetMode::kDistributed &&
                                t.state != TokenState::kNone &&
-                               store_->HasObjectAt(reader_bytes));
+                               store_->HeaderOf(reader_bytes) != nullptr);
   if (!can_grant) {
     NodeId next = t.owner_hint != kInvalidNode ? t.owner_hint : ProbableOwnerForAddr(req.addr);
     forward_to(next);
@@ -823,7 +817,7 @@ void DsmNode::SendReadGrant(Oid oid, NodeId requester, bool for_gc, Gaddr byte_a
 
 ObjectImage DsmNode::CaptureLocalCopy(Oid oid, Gaddr byte_addr) const {
   Gaddr resolved = kNullAddr;
-  if (byte_addr != kNullAddr && store_->HasObjectAt(byte_addr)) {
+  if (store_->HeaderOf(byte_addr) != nullptr) {
     resolved = byte_addr;
   } else {
     Gaddr addr = store_->AddrOfOid(oid);
@@ -833,7 +827,6 @@ ObjectImage DsmNode::CaptureLocalCopy(Oid oid, Gaddr byte_addr) const {
   // Cycle-broken resolution can stop on a mid-chain forwarder; follow the
   // in-heap chain to the actual bytes.
   resolved = store_->ResolveForward(resolved);
-  BMX_CHECK(store_->HasObjectAt(resolved)) << "granting object " << oid << " without bytes";
   ObjectImage object = store_->CaptureObject(resolved);
   BMX_CHECK(!object.header.forwarded());
   return object;
@@ -895,7 +888,7 @@ void DsmNode::HandleGrant(const Message& msg) {
   // it to the granted location if local resolution cannot reach it yet.
   if (wait_active_ && wait_addr_ != kNullAddr) {
     Gaddr reached = ResolveAddr(wait_addr_);
-    if (reached != object.addr && !store_->HasObjectAt(reached)) {
+    if (reached != object.addr && store_->HeaderOf(reached) == nullptr) {
       AddStaleForward(reached, object.addr);
     }
   }
@@ -986,9 +979,9 @@ void DsmNode::InstallObjectBytes(Oid oid, BunchId bunch, const ObjectImage& obje
   // If we previously knew the object at a different address, leave a local
   // forwarding header there so stale local references still resolve.
   Gaddr prior = store_->AddrOfOid(oid);
-  if (prior != kNullAddr && prior != addr && store_->HasObjectAt(prior)) {
+  if (prior != addr) {
     ObjectHeader* old_header = store_->HeaderOf(prior);
-    if (!old_header->forwarded()) {
+    if (old_header != nullptr && !old_header->forwarded()) {
       old_header->flags |= kObjFlagForwarded;
       old_header->forward = addr;
     }
@@ -1044,7 +1037,7 @@ void DsmNode::ApplyOneAddressUpdate(const AddressUpdate& update) {
     if (canonical != kNullAddr) {
       Gaddr from = ResolveAddr(update.old_addr);
       Gaddr to = ResolveAddr(canonical);
-      if (from != to && !store_->HasObjectAt(from)) {
+      if (from != to && store_->HeaderOf(from) == nullptr) {
         AddStaleForward(from, to);
       }
     }
@@ -1064,31 +1057,33 @@ void DsmNode::ApplyOneAddressUpdate(const AddressUpdate& update) {
   if (known != kNullAddr && ResolveAddr(known) == target) {
     // Already current — but still make sure the old *address* resolves here,
     // so stale addresses read from other objects keep working.
-    if (ResolveAddr(update.old_addr) != target &&
-        !store_->HasObjectAt(ResolveAddr(update.old_addr))) {
+    Gaddr from = ResolveAddr(update.old_addr);
+    if (from != target && store_->HeaderOf(from) == nullptr) {
       AddStaleForward(update.old_addr, target);
     }
     return;
   }
   stats_.address_updates_applied++;
   Gaddr src = store_->ResolveForward(update.old_addr);
-  if (src != target && store_->HasObjectAt(src)) {
-    // We hold a local replica at the old location: relocate our bytes (the
-    // data stays whatever the consistency protocol last told us — possibly
-    // stale, which entry consistency permits) and leave a forwarding header.
-    store_->GetOrCreate(SegmentOf(target), update.bunch);
-    store_->CopyObjectBytes(src, target);
-    ObjectHeader* old_header = store_->HeaderOf(src);
-    old_header->flags |= kObjFlagForwarded;
-    old_header->forward = target;
-    store_->SetAddrOfOid(update.oid, target);
-  } else if (src != target) {
-    // No local bytes at the old address: remember the mapping so the stale
-    // address still resolves on this node.  The oid map is left alone — it
-    // tracks where this node's *bytes* are (the directory tracks canonical
-    // locations), and repointing it at a byte-less address would hide our
-    // own replica from the local tracer.
-    AddStaleForward(src, target);
+  if (src != target) {
+    if (ObjectHeader* old_header = store_->HeaderOf(src)) {
+      // We hold a local replica at the old location: relocate our bytes (the
+      // data stays whatever the consistency protocol last told us — possibly
+      // stale, which entry consistency permits) and leave a forwarding
+      // header.
+      store_->GetOrCreate(SegmentOf(target), update.bunch);
+      store_->CopyObjectBytes(src, target);
+      old_header->flags |= kObjFlagForwarded;
+      old_header->forward = target;
+      store_->SetAddrOfOid(update.oid, target);
+    } else {
+      // No local bytes at the old address: remember the mapping so the
+      // stale address still resolves on this node.  The oid map is left
+      // alone — it tracks where this node's *bytes* are (the directory
+      // tracks canonical locations), and repointing it at a byte-less
+      // address would hide our own replica from the local tracer.
+      AddStaleForward(src, target);
+    }
   }
   if (TokenInfo* t = FindToken(update.oid)) {
     t->bunch = update.bunch;

@@ -213,9 +213,15 @@ class DsmNode : public MessageHandler {
   // use this; routing and update application use ResolveAddr.
   Gaddr LocalCopyOf(Gaddr addr) const;
 
+  // Identity of the object at `addr`: the header at its ResolveAddr, else
+  // the directory's address book for the resolved address, then for `addr`
+  // itself.  kNullOid when neither knows it.
+  Oid OidAt(Gaddr addr) const;
+
   // Best next hop for a request about the object at `addr`: token-table
-  // ownerPtr, routing tombstone, or segment creator, in that order.
-  NodeId RouteForAddr(Gaddr addr) const { return ProbableOwnerForAddr(addr); }
+  // ownerPtr, routing tombstone, or segment creator, in that order; when this
+  // node created the segment, the directory's owner of record.
+  NodeId ProbableOwnerForAddr(Gaddr addr) const;
 
   void HandleMessage(const Message& msg) override;
 
@@ -317,8 +323,6 @@ class DsmNode : public MessageHandler {
     return it == tokens_.end() ? nullptr : &it->second;
   }
   const TokenInfo* FindToken(Oid oid) const { return const_cast<DsmNode*>(this)->FindToken(oid); }
-  Oid OidAt(Gaddr addr) const;  // resolves forwarding; kNullOid if no local object
-  NodeId ProbableOwnerForAddr(Gaddr addr) const;
 
   // Consistency-checker hook: records a GC flip observation (this node first
   // learning that oid moved old_addr→new_addr) when history recording is on.

@@ -83,7 +83,8 @@ void GcEngine::MarkFrom(Gaddr root, const std::set<BunchId>& group, MarkSet* mar
     if (group.count(directory_->BunchOfSegment(SegmentOf(addr))) == 0) {
       continue;
     }
-    if (!store_->HasObjectAt(addr)) {
+    const ObjectHeader* header = store_->HeaderOf(addr);
+    if (header == nullptr) {
       // In-group reference with no local bytes: record it so the owner keeps
       // the target alive (address-based exiting entry).
       if (dangling != nullptr) {
@@ -94,7 +95,6 @@ void GcEngine::MarkFrom(Gaddr root, const std::set<BunchId>& group, MarkSet* mar
     if (!marked->Insert(addr)) {
       continue;
     }
-    const ObjectHeader* header = store_->HeaderOf(addr);
     // Word-level ref-map kernel: non-reference slots never touched, empty
     // 64-slot runs skipped in one instruction.
     store_->ForEachRefSlot(addr, header->size_slots, [&](size_t, uint64_t value) {
@@ -178,17 +178,16 @@ void GcEngine::CopyOwnedLive(BunchId bunch, TraceResult* live) {
   for (SegmentId seg : old_segments) {
     SegmentImage* image = store_->Find(seg);
     BMX_CHECK(image != nullptr);
-    std::vector<Gaddr> objects;
+    std::vector<std::pair<Gaddr, ObjectHeader*>> objects;
     image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
       if (!header.forwarded()) {
-        objects.push_back(addr);
+        objects.emplace_back(addr, &header);
       }
     });
-    for (Gaddr addr : objects) {
+    for (auto [addr, header] : objects) {
       if (!live->Live(addr)) {
         continue;
       }
-      ObjectHeader* header = image->HeaderOf(addr);
       Oid oid = header->oid;
       if (!dsm_->IsLocallyOwned(oid)) {
         // §4.2: objects not locally owned are simply scanned; copying them
@@ -238,7 +237,7 @@ void GcEngine::UpdateLocalReferences(const std::vector<BunchId>& group, const Tr
             return;
           }
           Gaddr resolved = dsm_->LocalCopyOf(value);
-          if (resolved != value && store_->HasObjectAt(resolved)) {
+          if (resolved != value && store_->HeaderOf(resolved) != nullptr) {
             // Rewrite only toward addresses whose bytes this node holds;
             // pointing a slot at a byte-less canonical address would sever
             // the local trace (the paper's page-mapped replicas can always
@@ -262,14 +261,13 @@ void GcEngine::UpdateLocalReferences(const std::vector<BunchId>& group, const Tr
 void GcEngine::SweepDead(BunchId bunch, const TraceResult& live) {
   for (SegmentId seg : store_->SegmentsOfBunch(bunch)) {
     SegmentImage* image = store_->Find(seg);
-    std::vector<Gaddr> dead;
+    std::vector<std::pair<Gaddr, const ObjectHeader*>> dead;
     image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
       if (!header.forwarded() && !live.Live(addr)) {
-        dead.push_back(addr);
+        dead.emplace_back(addr, &header);
       }
     });
-    for (Gaddr addr : dead) {
-      ObjectHeader* header = image->HeaderOf(addr);
+    for (auto [addr, header] : dead) {
       stats_.objects_reclaimed++;
       stats_.bytes_reclaimed += ObjectFootprintBytes(header->size_slots);
       Oid oid = header->oid;
@@ -278,8 +276,7 @@ void GcEngine::SweepDead(BunchId bunch, const TraceResult& live) {
       // orphan must not destroy the object's token state: erase the bytes,
       // leave a stale-forward to the canonical copy, and move on.
       Gaddr canonical_resolved = dsm_->ResolveOid(oid);
-      if (canonical_resolved != kNullAddr && canonical_resolved != addr &&
-          store_->HasObjectAt(canonical_resolved)) {
+      if (canonical_resolved != addr && store_->HeaderOf(canonical_resolved) != nullptr) {
         image->EraseObject(addr);
         dsm_->AddStaleForward(addr, canonical_resolved);
         continue;
@@ -316,6 +313,8 @@ void GcEngine::RebuildTables(BunchId bunch, const TraceResult& live) {
       continue;
     }
     const ObjectHeader* header = store_->HeaderOf(src);
+    BMX_CHECK(header != nullptr) << "live stub source " << stub.src_oid << " has no header at "
+                                 << src;
     if (stub.slot >= header->size_slots || !store_->SlotIsRef(src, stub.slot)) {
       continue;
     }
@@ -366,7 +365,7 @@ void GcEngine::RebuildTables(BunchId bunch, const TraceResult& live) {
       // owner's BGC reclaim a live object.
       NodeId owner = dsm_->OwnerHint(header.oid);
       if (owner == kInvalidNode) {
-        owner = dsm_->RouteForAddr(addr);
+        owner = dsm_->ProbableOwnerForAddr(addr);
       }
       if (owner != kInvalidNode && owner != id_) {
         state.exiting.emplace_back(header.oid, owner);
@@ -409,7 +408,7 @@ void GcEngine::SendReachabilityTables(BunchId bunch) {
     state.table_destinations.insert(owner);
   }
   for (Gaddr addr : state.exiting_addrs) {
-    NodeId hop = dsm_->RouteForAddr(addr);
+    NodeId hop = dsm_->ProbableOwnerForAddr(addr);
     if (hop != kInvalidNode && hop != id_) {
       state.table_destinations.insert(hop);
     }

@@ -96,8 +96,8 @@ Gaddr GcEngine::RelocateOwned(BunchId bunch, Gaddr addr, ObjectHeader* header,
 void GcEngine::WriteRef(Gaddr obj_addr, size_t slot, Gaddr target) {
   stats_.barrier_writes++;
   Gaddr obj = dsm_->LocalCopyOf(obj_addr);
-  BMX_CHECK(store_->HasObjectAt(obj)) << "WriteRef to unmapped object at " << obj_addr;
   const ObjectHeader* header = store_->HeaderOf(obj);
+  BMX_CHECK(header != nullptr) << "WriteRef to unmapped object at " << obj_addr;
   BMX_CHECK_LT(slot, header->size_slots);
   store_->WriteSlot(obj, slot, target);
   store_->SetSlotIsRef(obj, slot, target != kNullAddr);
@@ -110,15 +110,15 @@ void GcEngine::WriteRef(Gaddr obj_addr, size_t slot, Gaddr target) {
   BunchId dst_bunch = directory_->BunchOfSegment(SegmentOf(dsm_->ResolveAddr(target)));
   if (src_bunch != dst_bunch) {
     stats_.barrier_inter_bunch++;
-    CreateInterSsp(obj, slot, target);
+    CreateInterSsp(header->oid, obj, slot, target);
   }
 }
 
 void GcEngine::WriteWord(Gaddr obj_addr, size_t slot, uint64_t value) {
   stats_.barrier_writes++;
   Gaddr obj = dsm_->LocalCopyOf(obj_addr);
-  BMX_CHECK(store_->HasObjectAt(obj)) << "WriteWord to unmapped object at " << obj_addr;
   const ObjectHeader* header = store_->HeaderOf(obj);
+  BMX_CHECK(header != nullptr) << "WriteWord to unmapped object at " << obj_addr;
   BMX_CHECK_LT(slot, header->size_slots);
   store_->WriteSlot(obj, slot, value);
   store_->SetSlotIsRef(obj, slot, false);
@@ -126,13 +126,13 @@ void GcEngine::WriteWord(Gaddr obj_addr, size_t slot, uint64_t value) {
 
 uint64_t GcEngine::ReadSlot(Gaddr obj_addr, size_t slot) const {
   Gaddr obj = dsm_->LocalCopyOf(obj_addr);
-  BMX_CHECK(store_->HasObjectAt(obj)) << "read of unmapped object at " << obj_addr;
+  BMX_CHECK(store_->HeaderOf(obj) != nullptr) << "read of unmapped object at " << obj_addr;
   return store_->ReadSlot(obj, slot);
 }
 
 bool GcEngine::SlotIsRef(Gaddr obj_addr, size_t slot) const {
   Gaddr obj = dsm_->LocalCopyOf(obj_addr);
-  BMX_CHECK(store_->HasObjectAt(obj));
+  BMX_CHECK(store_->HeaderOf(obj) != nullptr) << "read of unmapped object at " << obj_addr;
   return store_->SlotIsRef(obj, slot);
 }
 
@@ -143,28 +143,17 @@ bool GcEngine::SameObject(Gaddr a, Gaddr b) const {
   if (a == kNullAddr || b == kNullAddr) {
     return false;
   }
-  Gaddr ra = dsm_->ResolveAddr(a);
-  Gaddr rb = dsm_->ResolveAddr(b);
-  if (ra == rb) {
+  if (dsm_->ResolveAddr(a) == dsm_->ResolveAddr(b)) {
     return true;
   }
   // Different final addresses can still be the same object when this node has
   // not caught up on one of the chains; compare identities, using the
   // directory's address book when local bytes are missing on one side.
-  auto identify = [&](Gaddr resolved, Gaddr original) -> Oid {
-    if (store_->HasObjectAt(resolved)) {
-      return store_->HeaderOf(resolved)->oid;
-    }
-    Oid oid = directory_->OidAtAddress(resolved);
-    return oid != kNullOid ? oid : directory_->OidAtAddress(original);
-  };
-  Oid oa = identify(ra, a);
-  Oid ob = identify(rb, b);
-  return oa != kNullOid && oa == ob;
+  Oid oa = dsm_->OidAt(a);
+  return oa != kNullOid && oa == dsm_->OidAt(b);
 }
 
-void GcEngine::CreateInterSsp(Gaddr src_obj, size_t slot, Gaddr target) {
-  Oid src_oid = store_->HeaderOf(src_obj)->oid;
+void GcEngine::CreateInterSsp(Oid src_oid, Gaddr src_obj, size_t slot, Gaddr target) {
   BunchId src_bunch = directory_->BunchOfSegment(SegmentOf(src_obj));
   Gaddr target_resolved = dsm_->ResolveAddr(target);
   BunchId target_bunch = directory_->BunchOfSegment(SegmentOf(target_resolved));
@@ -191,7 +180,7 @@ void GcEngine::InstallInterStub(Oid src_oid, uint32_t slot, BunchId src_bunch, G
   stub.target_addr = target_addr;
   stub.target_bunch = target_bunch;
 
-  if (store_->HasObjectAt(target_addr)) {
+  if (store_->HeaderOf(target_addr) != nullptr) {
     // Both bunches present locally: stub and scion are created locally (§3.2).
     stub.scion_node = id_;
     BunchState& target_state = StateOf(target_bunch);
@@ -467,7 +456,7 @@ void GcEngine::RebuildSspsFromHeap(BunchId bunch) {
         if (target_bunch == bunch || target_bunch == kInvalidBunch) {
           return;
         }
-        if (!store_->HasObjectAt(resolved) &&
+        if (store_->HeaderOf(resolved) == nullptr &&
             directory_->SegmentCreator(SegmentOf(resolved)) == id_) {
           // The reference survived in the checkpoint but its target did not:
           // we are the creator-of-record and hold no bytes, so there is no
@@ -475,7 +464,7 @@ void GcEngine::RebuildSspsFromHeap(BunchId bunch) {
           // dangling; leave it to fail at the next acquire.
           return;
         }
-        CreateInterSsp(addr, slot, resolved);
+        CreateInterSsp(header.oid, addr, slot, resolved);
       });
     });
   }
@@ -494,8 +483,8 @@ size_t GcEngine::LiveBytesOf(BunchId bunch) {
   TraceResult live = Trace({bunch}, /*exclude_intra_group_scions=*/false);
   size_t bytes = 0;
   auto account = [&](Gaddr addr) {
-    if (store_->HasObjectAt(addr)) {
-      bytes += ObjectFootprintBytes(store_->HeaderOf(addr)->size_slots);
+    if (const ObjectHeader* header = store_->HeaderOf(addr)) {
+      bytes += ObjectFootprintBytes(header->size_slots);
     }
   };
   live.strong.ForEach(account);

@@ -101,9 +101,6 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
   // Pointer comparison that accounts for forwarding pointers (§4.2, §8: "a
   // special operation is provided to perform pointer comparison").
   bool SameObject(Gaddr a, Gaddr b) const;
-  // The most current local address for `addr` (follows in-heap forwarders and
-  // stale-forward records for freed from-space segments).
-  Gaddr Canonical(Gaddr addr) const { return dsm_->ResolveAddr(addr); }
 
   // --- Collections ---
   // Bunch garbage collection of the local replica of `bunch`.
@@ -293,7 +290,9 @@ class GcEngine : public DsmGcHooks, public MessageHandler {
   void RebuildTables(BunchId bunch, const TraceResult& live);
   void SendReachabilityTables(BunchId bunch);
 
-  void CreateInterSsp(Gaddr src_obj, size_t slot, Gaddr target);
+  // SSP for the reference from slot `slot` of object `src_oid`, whose local
+  // bytes are at `src_obj`, to `target`.
+  void CreateInterSsp(Oid src_oid, Gaddr src_obj, size_t slot, Gaddr target);
   // Creates an inter-bunch stub (fresh id) for the given descriptor and the
   // matching scion (locally or via scion-message), unless an equivalent stub
   // exists.  `target_addr` must be resolved.  Shared by the write barrier and

@@ -58,10 +58,10 @@ void GcEngine::ReclaimFromSpaces(BunchId bunch) {
     if (image == nullptr) {
       continue;
     }
-    std::vector<Gaddr> objects;
-    image->ForEachObject([&](Gaddr addr, ObjectHeader&) { objects.push_back(addr); });
-    for (Gaddr addr : objects) {
-      ObjectHeader* header = image->HeaderOf(addr);
+    std::vector<std::pair<Gaddr, ObjectHeader*>> objects;
+    image->ForEachObject(
+        [&](Gaddr addr, ObjectHeader& header) { objects.emplace_back(addr, &header); });
+    for (auto [addr, header] : objects) {
       Oid oid = header->oid;
       if (header->forwarded()) {
         notify_interested(AddressUpdate{oid, bunch, addr, dsm_->ResolveAddr(addr)});
@@ -70,7 +70,7 @@ void GcEngine::ReclaimFromSpaces(BunchId bunch) {
       // Orphaned stale copy (the canonical local copy lives elsewhere after
       // out-of-order updates): demote it to a plain forwarder.
       Gaddr canonical = dsm_->ResolveOid(oid);
-      if (canonical != kNullAddr && canonical != addr && store_->HasObjectAt(canonical)) {
+      if (canonical != addr && store_->HeaderOf(canonical) != nullptr) {
         header->flags |= kObjFlagForwarded;
         header->forward = canonical;
         continue;
@@ -135,7 +135,7 @@ void GcEngine::HandleCopyRequest(const Message& msg) {
       if (authoritative != kInvalidNode && authoritative != id_) {
         owner = authoritative;
       } else if (owner == kInvalidNode || owner == id_) {
-        owner = dsm_->RouteForAddr(request.addr);
+        owner = dsm_->ProbableOwnerForAddr(request.addr);
       }
     }
     if (owner == kInvalidNode || owner == id_) {
@@ -158,7 +158,10 @@ void GcEngine::HandleCopyRequest(const Message& msg) {
   avoid.insert(SegmentOf(request.addr));
   if (avoid.count(SegmentOf(current)) > 0) {
     // Our copy also still lives in a segment being freed: move it now.
-    current = RelocateOwned(bunch, current, store_->HeaderOf(current), avoid);
+    ObjectHeader* header = store_->HeaderOf(current);
+    BMX_CHECK(header != nullptr) << "owned object " << request.oid << " has no header at "
+                                 << current;
+    current = RelocateOwned(bunch, current, header, avoid);
   }
 
   // Crash here and the requester's round never completes on its own; its
@@ -231,19 +234,18 @@ void GcEngine::FinishReclaimIfDone(uint64_t round) {
     if (image == nullptr) {
       continue;
     }
-    std::vector<Gaddr> leftovers;
+    std::vector<std::pair<Gaddr, ObjectHeader*>> leftovers;
     image->ForEachObject([&](Gaddr addr, ObjectHeader& header) {
       if (header.forwarded()) {
         dsm_->AddStaleForward(addr, header.forward);
       } else {
-        leftovers.push_back(addr);
+        leftovers.emplace_back(addr, &header);
       }
     });
-    for (Gaddr addr : leftovers) {
-      ObjectHeader* header = image->HeaderOf(addr);
+    for (auto [addr, header] : leftovers) {
       Oid oid = header->oid;
       Gaddr canonical = dsm_->ResolveOid(oid);
-      if (canonical != kNullAddr && canonical != addr && store_->HasObjectAt(canonical)) {
+      if (canonical != addr && store_->HeaderOf(canonical) != nullptr) {
         // Orphaned stale copy; the real object lives elsewhere locally.
         dsm_->AddStaleForward(addr, canonical);
         continue;

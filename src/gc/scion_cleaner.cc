@@ -59,8 +59,9 @@ void GcEngine::ApplyReachabilityTable(const ReachabilityTablePayload& table) {
     if (oid == kNullOid) {
       Gaddr resolved = dsm_->ResolveAddr(addr);
       oid = directory_->OidAtAddress(resolved);
-      if (oid == kNullOid && store_->HasObjectAt(resolved)) {
-        oid = store_->HeaderOf(resolved)->oid;
+      const ObjectHeader* header = oid == kNullOid ? store_->HeaderOf(resolved) : nullptr;
+      if (header != nullptr) {
+        oid = header->oid;
       }
     }
     if (oid != kNullOid) {

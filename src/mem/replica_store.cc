@@ -35,25 +35,16 @@ Gaddr ReplicaStore::ResolveForward(Gaddr addr) const {
   // A forwarding chain can have several hops if the object moved more than
   // once before this node caught up; bounded by hop budget as a safety net.
   for (int hops = 0; hops < 64; ++hops) {
-    const SegmentImage* image = SegmentFor(current);
-    // Only treat the address as an object if the object-map confirms a header
-    // there; a stale address into reused space must not be chased.
-    if (image == nullptr || !image->HasObjectAt(current)) {
-      return current;
-    }
-    const ObjectHeader* header = image->HeaderOf(current);
-    if (!header->forwarded()) {
+    // HeaderOf confirms a header in the object-map: a stale address into
+    // reused space is not chased.
+    const ObjectHeader* header = HeaderOf(current);
+    if (header == nullptr || !header->forwarded()) {
       return current;
     }
     current = header->forward;
   }
   BMX_CHECK(false) << "forwarding chain too long at addr " << addr;
   return current;
-}
-
-bool ReplicaStore::HasObjectAt(Gaddr addr) const {
-  const SegmentImage* image = SegmentFor(addr);
-  return image != nullptr && image->HasObjectAt(addr);
 }
 
 uint64_t ReplicaStore::ReadSlot(Gaddr obj_addr, size_t slot) const {
@@ -88,9 +79,11 @@ void ReplicaStore::SetSlotIsRef(Gaddr obj_addr, size_t slot, bool is_ref) {
 ObjectImage ReplicaStore::CaptureObject(Gaddr obj_addr) const {
   const SegmentImage* image = SegmentFor(obj_addr);
   BMX_CHECK(image != nullptr) << "segment unmapped for addr " << obj_addr;
+  const ObjectHeader* header = image->HeaderOf(obj_addr);
+  BMX_CHECK(header != nullptr) << "no object to capture at " << obj_addr;
   ObjectImage out;
   out.addr = obj_addr;
-  out.header = *image->HeaderOf(obj_addr);
+  out.header = *header;
   const uint32_t size = out.header.size_slots;
   // Bulk-copy the slots, then mark ref slots straight off the ref-map words.
   // A slotless object has no slot to point at: its data address may be the
@@ -142,7 +135,8 @@ void ReplicaStore::CopyObjectBytes(Gaddr from_addr, Gaddr to_addr) {
   SegmentImage* src = SegmentFor(from_addr);
   SegmentImage* dst = SegmentFor(to_addr);
   BMX_CHECK(src != nullptr && dst != nullptr);
-  ObjectHeader* src_header = src->HeaderOf(from_addr);
+  const ObjectHeader* src_header = src->HeaderOf(from_addr);
+  BMX_CHECK(src_header != nullptr) << "no object to copy at " << from_addr;
   ObjectHeader copy = *src_header;
   copy.flags &= ~kObjFlagForwarded;
   copy.forward = kNullAddr;

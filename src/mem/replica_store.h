@@ -57,17 +57,16 @@ class ReplicaStore {
   SegmentImage* SegmentFor(Gaddr addr) { return Find(SegmentOf(addr)); }
   const SegmentImage* SegmentFor(Gaddr addr) const { return Find(SegmentOf(addr)); }
 
-  // Header of the object at `obj_addr`; nullptr when its segment is unmapped.
+  // Header of the object at `obj_addr`: one segment lookup and one
+  // object-map test.  nullptr unless a mapped segment's object-map confirms
+  // a header there (SegmentImage::HeaderOf), so also for kNullAddr: segment
+  // 0 is never mapped.  Forwarders count.
   ObjectHeader* HeaderOf(Gaddr obj_addr);
   const ObjectHeader* HeaderOf(Gaddr obj_addr) const;
 
   // Follows locally visible forwarding headers to the most current address
   // this node knows for the object nominally at `addr`.
   Gaddr ResolveForward(Gaddr addr) const;
-
-  // True if a mapped segment's object-map confirms an object header for data
-  // address `addr` (forwarders count: their headers stay in the object-map).
-  bool HasObjectAt(Gaddr addr) const;
 
   // Raw slot access (no barrier, no token check — callers layer those).
   uint64_t ReadSlot(Gaddr obj_addr, size_t slot) const;

@@ -57,10 +57,20 @@ class SegmentImage {
   Bitmap& ref_map() { return ref_map_; }
   const Bitmap& ref_map() const { return ref_map_; }
 
-  // Header of the object whose data starts at `obj_addr`.
+  // Header of the object whose data starts at `obj_addr`, or nullptr unless
+  // the object-map confirms a header just below it (§8).  Forwarders count:
+  // their headers stay in the map.  A slot inside an object's data, an erased
+  // object, the segment's first slot and anything at or past the cursor,
+  // where the map ends, hold no object.
   ObjectHeader* HeaderOf(Gaddr obj_addr) {
     size_t off = OffsetInSegment(obj_addr);
-    BMX_CHECK_GE(off, kHeaderBytes);
+    if (off < kHeaderBytes) {
+      return nullptr;
+    }
+    size_t header_slot = (off - kHeaderBytes) / kSlotBytes;
+    if (header_slot >= object_map_.size() || !object_map_.Test(header_slot)) {
+      return nullptr;
+    }
     return reinterpret_cast<ObjectHeader*>(bytes_ + off - kHeaderBytes);
   }
   const ObjectHeader* HeaderOf(Gaddr obj_addr) const {
@@ -72,17 +82,6 @@ class SegmentImage {
     size_t off = OffsetInSegment(obj_addr) + slot * kSlotBytes;
     BMX_CHECK_LT(off, cursor_);
     return reinterpret_cast<uint64_t*>(bytes_ + off);
-  }
-
-  // Whether an object's header sits just below `obj_addr`.  A slot past the
-  // object-map, which ends at the cursor, holds no object.
-  bool HasObjectAt(Gaddr obj_addr) const {
-    size_t off = OffsetInSegment(obj_addr);
-    if (off < kHeaderBytes) {
-      return false;
-    }
-    size_t header_slot = (off - kHeaderBytes) / kSlotBytes;
-    return header_slot < object_map_.size() && object_map_.Test(header_slot);
   }
 
   size_t SlotIndexOf(Gaddr addr) const { return OffsetInSegment(addr) / kSlotBytes; }

@@ -11,19 +11,23 @@ Mutator::Mutator(Node* node) : node_(node) {
 
 Mutator::~Mutator() { node_->gc().RemoveRootProvider(this); }
 
+const ObjectHeader* Mutator::LocalHeader(Gaddr obj) const {
+  return node_->store().HeaderOf(node_->dsm().LocalCopyOf(obj));
+}
+
 void Mutator::RecordHistory(HistoryOp op, Gaddr obj, uint32_t slot, uint64_t value,
                             bool is_ref) const {
   HistoryRecorder* recorder = node_->network()->history_recorder();
   if (recorder == nullptr) {
     return;
   }
-  Gaddr resolved = node_->dsm().LocalCopyOf(obj);
-  if (!node_->store().HasObjectAt(resolved)) {
+  const ObjectHeader* header = LocalHeader(obj);
+  if (header == nullptr) {
     return;  // nothing local to attribute the event to
   }
   HistoryEvent event;
   event.op = op;
-  event.oid = node_->store().HeaderOf(resolved)->oid;
+  event.oid = header->oid;
   event.slot = slot;
   event.value = value;
   event.is_ref = is_ref;
@@ -62,18 +66,18 @@ void Mutator::Release(Gaddr addr) {
 }
 
 void Mutator::CheckWritable(Gaddr obj) const {
-  Gaddr resolved = node_->dsm().LocalCopyOf(obj);
-  BMX_CHECK(node_->store().HasObjectAt(resolved)) << "write to unmapped object";
-  Oid oid = node_->store().HeaderOf(resolved)->oid;
+  const ObjectHeader* header = LocalHeader(obj);
+  BMX_CHECK(header != nullptr) << "write to unmapped object";
+  Oid oid = header->oid;
   BMX_CHECK(node_->dsm().StateOf(oid) == TokenState::kWrite)
       << "entry consistency violation: write without the write token (node " << node_->id()
       << ", oid " << oid << ")";
 }
 
 void Mutator::CheckReadable(Gaddr obj) const {
-  Gaddr resolved = node_->dsm().LocalCopyOf(obj);
-  BMX_CHECK(node_->store().HasObjectAt(resolved)) << "read of unmapped object";
-  Oid oid = node_->store().HeaderOf(resolved)->oid;
+  const ObjectHeader* header = LocalHeader(obj);
+  BMX_CHECK(header != nullptr) << "read of unmapped object";
+  Oid oid = header->oid;
   BMX_CHECK(node_->dsm().StateOf(oid) != TokenState::kNone)
       << "entry consistency violation: read without a token (node " << node_->id() << ", oid "
       << oid << ")";
@@ -110,8 +114,7 @@ size_t Mutator::AddRoot(Gaddr addr) {
     // A root must refer to an object this node has actually faulted in; the
     // non-owned local replica is what ties our interest into the global
     // liveness chain (exiting ownerPtr → entering ownerPtr at the owner).
-    Gaddr resolved = node_->dsm().ResolveAddr(addr);
-    BMX_CHECK(node_->store().HasObjectAt(resolved))
+    BMX_CHECK(node_->store().HeaderOf(node_->dsm().ResolveAddr(addr)) != nullptr)
         << "root to an object with no local replica; acquire it first";
   }
   roots_.push_back(addr);

@@ -58,6 +58,9 @@ class Mutator : public RootProvider {
   std::vector<Gaddr*> RootSlots() override;
 
  private:
+  // Header of this node's byte copy of `obj` (DsmNode::LocalCopyOf);
+  // nullptr when the node holds none.
+  const ObjectHeader* LocalHeader(Gaddr obj) const;
   // Entry-consistency discipline checks: a write needs the write token, a
   // read any token.
   void CheckWritable(Gaddr obj) const;

@@ -9,20 +9,6 @@
 
 namespace bmx {
 
-namespace {
-
-// True when `node`'s own view resolves `addr` to an object with local bytes.
-bool ResolvesToLocalBytes(Node& node, Gaddr addr) {
-  if (addr == kNullAddr) {
-    return false;
-  }
-  Gaddr resolved = node.dsm().ResolveAddr(addr);
-  return resolved != kNullAddr && node.store().HasObjectAt(resolved) &&
-         !node.store().HeaderOf(resolved)->forwarded();
-}
-
-}  // namespace
-
 std::vector<NodeId> InvariantOracle::LiveNodes() const {
   std::vector<NodeId> live;
   for (NodeId id = 0; id < cluster_->size(); ++id) {
@@ -122,8 +108,8 @@ void InvariantOracle::CheckTokens(std::vector<std::string>* out) {
            << " owner but its token table disagrees";
         out->push_back(os.str());
       }
-      Gaddr addr = owner.store().AddrOfOid(oid);
-      if (!ResolvesToLocalBytes(owner, addr)) {
+      const ObjectHeader* bytes = owner.store().HeaderOf(owner.dsm().ResolveOid(oid));
+      if (bytes == nullptr || bytes->forwarded()) {
         std::ostringstream os;
         os << "oid " << oid << ": owner of record (node " << record
            << ") has no resolvable bytes";
@@ -236,10 +222,11 @@ void InvariantOracle::CheckReachability(std::vector<std::string>* out) {
           if (target == kNullAddr) {
             return;
           }
-          if (ResolvesToLocalBytes(node, target)) {
+          Gaddr resolved = node.dsm().ResolveAddr(target);
+          const ObjectHeader* bytes = node.store().HeaderOf(resolved);
+          if (bytes != nullptr && !bytes->forwarded()) {
             return;
           }
-          Gaddr resolved = node.dsm().ResolveAddr(target);
           Oid oid = directory.OidAtAddress(resolved);
           if (oid == kNullOid) {
             oid = directory.OidAtAddress(target);
@@ -259,8 +246,9 @@ void InvariantOracle::CheckReachability(std::vector<std::string>* out) {
             return;
           }
           Node& owner_node = cluster_->node(owner);
-          Gaddr owner_addr = owner_node.store().AddrOfOid(oid);
-          if (!ResolvesToLocalBytes(owner_node, owner_addr)) {
+          const ObjectHeader* owner_bytes =
+              owner_node.store().HeaderOf(owner_node.dsm().ResolveOid(oid));
+          if (owner_bytes == nullptr || owner_bytes->forwarded()) {
             std::ostringstream os;
             os << "node " << id << " obj " << header.oid << " slot " << slot
                << ": target oid " << oid << " reachable but unreclaimable-check failed: owner node "

@@ -185,6 +185,7 @@ void PersistenceManager::CommitObjects(
     rvm_.SetRange(tx, meta, 0, 16);
     for (Gaddr addr : addrs) {
       const ObjectHeader* header = image->HeaderOf(addr);
+      BMX_CHECK(header != nullptr) << "committing a missing object at " << addr;
       size_t header_off = OffsetInSegment(addr) - kHeaderBytes;
       size_t footprint = ObjectFootprintBytes(header->size_slots);
       rvm_.SetRange(tx, data, header_off, footprint);

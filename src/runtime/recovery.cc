@@ -121,8 +121,7 @@ void RecoveryManager::RunRecovery() {
   // registered allocation never reached a checkpoint and no peer was ever
   // granted a copy; keeping the record would route acquires into a void.
   for (Oid oid : directory_->OwnedBy(id_)) {
-    Gaddr resolved = dsm_->ResolveOid(oid);
-    if (resolved != kNullAddr && store_->HasObjectAt(resolved)) {
+    if (store_->HeaderOf(dsm_->ResolveOid(oid)) != nullptr) {
       continue;
     }
     directory_->ForgetObjectAddresses(oid);  // also forgets the owner record
@@ -180,8 +179,8 @@ void RecoveryManager::HandleQuery(const Message& msg) {
     e.bunch = t.bunch;
     e.has_token = t.state != TokenState::kNone;
     Gaddr resolved = dsm_->ResolveOid(t.oid);
-    if (resolved != kNullAddr && store_->HasObjectAt(resolved) &&
-        !store_->HeaderOf(resolved)->forwarded()) {
+    const ObjectHeader* header = store_->HeaderOf(resolved);
+    if (header != nullptr && !header->forwarded()) {
       e.has_bytes = true;
       e.object = store_->CaptureObject(resolved);
     }
@@ -231,8 +230,7 @@ void RecoveryManager::HandleReply(const Message& msg) {
     if (directory_->OwnerOf(e.oid) != id_) {
       continue;  // demoted by a contested entry from another peer
     }
-    Gaddr resolved = dsm_->ResolveOid(e.oid);
-    bool have_bytes = resolved != kNullAddr && store_->HasObjectAt(resolved);
+    bool have_bytes = store_->HeaderOf(dsm_->ResolveOid(e.oid)) != nullptr;
     if (!have_bytes && e.has_bytes) {
       // The peer's copy resupplies an owned object our checkpoint predates.
       gc_->RegisterBunchReplica(e.bunch);

@@ -15,10 +15,6 @@ std::unique_ptr<Cluster> ThreeNodes(uint64_t root_seed) {
   return std::make_unique<Cluster>(ClusterOptions{.num_nodes = 3, .seed = root_seed});
 }
 
-Oid OidAt(Node& node, Gaddr addr) {
-  return node.store().HeaderOf(node.dsm().ResolveAddr(addr))->oid;
-}
-
 // Figure 1: bunch B1 on N1/N2, bunch B2 on N3 only; the inter-bunch reference
 // O3→O5 is created at N2, then O3's write token moves to N1, building the
 // intra-bunch SSP.  Collections at N2 and N3 must reclaim nothing.
@@ -41,51 +37,6 @@ void RunFig1(Cluster& c) {
   c.node(1).gc().CollectBunch(b1);
   c.Pump();
   c.node(2).gc().CollectBunch(b2);
-  c.Pump();
-}
-
-// Figure 2: one object's write token migrating around three nodes, each
-// incarnation writing through it.
-void RunFig2(Cluster& c) {
-  Mutator m0(&c.node(0));
-  Mutator m1(&c.node(1));
-  Mutator m2(&c.node(2));
-  BunchId b = c.CreateBunch(0);
-  Gaddr obj = m0.Alloc(b, 2);
-  m0.AddRoot(obj);
-  c.Pump();
-  Mutator* ring[3] = {&m0, &m1, &m2};
-  for (uint64_t round = 1; round <= 3; ++round) {
-    Mutator& m = *ring[round % 3];
-    if (m.AcquireWrite(obj)) {
-      m.WriteWord(obj, 1, round);
-      m.Release(obj);
-    }
-    c.Pump();
-  }
-}
-
-// Figure 3: two readers replicate an object, then the owner re-acquires the
-// write token, fanning out invalidations whose acks race back.
-void RunFig3(Cluster& c) {
-  Mutator m0(&c.node(0));
-  Mutator m1(&c.node(1));
-  Mutator m2(&c.node(2));
-  BunchId b = c.CreateBunch(0);
-  Gaddr a = m0.Alloc(b, 1);
-  m0.AddRoot(a);
-  c.Pump();
-  if (m1.AcquireRead(a)) {
-    m1.Release(a);
-  }
-  if (m2.AcquireRead(a)) {
-    m2.Release(a);
-  }
-  c.Pump();
-  if (m0.AcquireWrite(a)) {
-    m0.WriteWord(a, 0, 7);
-    m0.Release(a);
-  }
   c.Pump();
 }
 
@@ -146,7 +97,8 @@ void RunFig1Scaled(Cluster& c) {
 }
 
 // Fig. 2 at N nodes: one object's write token walks the whole ring once,
-// every incarnation writing a round stamp through it.
+// every incarnation writing a round stamp through it.  StandardScenarios runs
+// it at N = 3.
 void RunFig2Scaled(Cluster& c) {
   size_t n = c.size();
   std::vector<std::unique_ptr<Mutator>> muts;
@@ -169,6 +121,7 @@ void RunFig2Scaled(Cluster& c) {
 
 // Fig. 3 at N nodes: N-1 readers replicate the object, then the owner's write
 // upgrade fans invalidations out to all of them and the acks race back.
+// StandardScenarios runs it at N = 3.
 void RunFig3Scaled(Cluster& c) {
   size_t n = c.size();
   std::vector<std::unique_ptr<Mutator>> muts;
@@ -226,8 +179,8 @@ void RunFig4Scaled(Cluster& c) {
 std::vector<ExplorerScenario> StandardScenarios() {
   return {
       {"fig1-ssp-chain", ThreeNodes, RunFig1},
-      {"fig2-token-migration", ThreeNodes, RunFig2},
-      {"fig3-invalidate-fanout", ThreeNodes, RunFig3},
+      {"fig2-token-migration", ThreeNodes, RunFig2Scaled},
+      {"fig3-invalidate-fanout", ThreeNodes, RunFig3Scaled},
       {"fig4-reclaim-churn", ThreeNodes, RunFig4},
   };
 }
@@ -237,7 +190,8 @@ std::vector<ExplorerScenario> ScaledScenarios(size_t num_nodes, const BatchPolic
     return std::make_unique<Cluster>(ClusterOptions{
         .num_nodes = num_nodes, .seed = root_seed, .batch = batch});
   };
-  std::string suffix = "@" + std::to_string(num_nodes);
+  std::string suffix = "@";
+  suffix += std::to_string(num_nodes);
   return {
       {"fig1-ssp-chain" + suffix, make, RunFig1Scaled},
       {"fig2-token-migration" + suffix, make, RunFig2Scaled},
@@ -271,7 +225,7 @@ ExplorerScenario CanaryReorderScenario() {
       m2.Release(a);
     }
     c.Pump();
-    c.node(0).dsm().PlantCanaryReorderBugForTesting(OidAt(c.node(1), victim));
+    c.node(0).dsm().PlantCanaryReorderBugForTesting(c.node(1).dsm().OidAt(victim));
     // Re-acquiring the write token invalidates both replicas; the two acks
     // race back on different channels.  FIFO delivers them src-ascending
     // (channel (1,0) precedes (2,0)); any schedule that inverts them trips

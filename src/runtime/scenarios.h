@@ -26,10 +26,10 @@ std::vector<ExplorerScenario> StandardScenarios();
 // inter-bunch chain with the head's token migrating, fig2 walks the write
 // token around all N nodes, fig3 fans invalidations out to N-1 replicas, and
 // fig4 replicates the head on every non-owner before the unlink-and-collect.
-// At N == 3 these drive the same protocol paths as StandardScenarios (which
-// stays byte-pinned by the fingerprint tests and is left untouched).  `batch`
-// configures the cluster's transport coalescing — default off, the pinned
-// baseline.
+// At N == 3 these drive the same protocol paths as StandardScenarios, whose
+// fig2 and fig3 entries are these closures; its fig1 and fig4 are smaller
+// three-node shapes the fingerprint tests pin.  `batch` configures the
+// cluster's transport coalescing — default off, the pinned baseline.
 std::vector<ExplorerScenario> ScaledScenarios(size_t num_nodes,
                                               const BatchPolicy& batch = {});
 

@@ -57,8 +57,8 @@ void Transaction::Commit() {
   std::vector<std::pair<SegmentImage*, Gaddr>> objects;
   for (Gaddr addr : touched_objects_) {
     Gaddr canonical = node_->dsm().LocalCopyOf(addr);
-    SegmentImage* image = node_->store().Find(SegmentOf(canonical));
-    if (image != nullptr && node_->store().HasObjectAt(canonical)) {
+    SegmentImage* image = node_->store().SegmentFor(canonical);
+    if (image != nullptr && image->HeaderOf(canonical) != nullptr) {
       objects.emplace_back(image, canonical);
     }
   }

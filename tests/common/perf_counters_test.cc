@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/common/perf_counters.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/mutator.h"
@@ -19,6 +21,37 @@ TEST(PerfCountersTest, ResetZeroesEverything) {
   EXPECT_EQ(p.slots_scanned, 0u);
   EXPECT_EQ(p.segment_mru_hits, 0u);
   EXPECT_EQ(p.piggyback_bytes_saved, 0u);
+}
+
+// TaskPool::ParallelFor folds its helpers' counters in with Add, so Add
+// must sum every field; ForEach, which the bench printout walks, must visit
+// every field in declaration order.
+TEST(PerfCountersTest, AddSumsEveryField) {
+  constexpr size_t kFields = sizeof(PerfCounters) / sizeof(uint64_t);
+  static_assert(kFields * sizeof(uint64_t) == sizeof(PerfCounters));
+  uint64_t base[kFields];
+  uint64_t delta[kFields];
+  for (size_t i = 0; i < kFields; ++i) {
+    base[i] = 1000 * (i + 1);
+    delta[i] = i + 1;
+  }
+  PerfCounters a;
+  PerfCounters b;
+  std::memcpy(&a, base, sizeof(a));
+  std::memcpy(&b, delta, sizeof(b));
+  a.Add(b);
+  uint64_t sum[kFields];
+  std::memcpy(sum, &a, sizeof(a));
+  for (size_t i = 0; i < kFields; ++i) {
+    EXPECT_EQ(sum[i], base[i] + delta[i]) << "field " << i;
+  }
+  size_t visited = 0;
+  a.ForEach([&](const char* name, uint64_t value) {
+    ASSERT_LT(visited, kFields) << name;
+    EXPECT_EQ(value, sum[visited]) << name;
+    ++visited;
+  });
+  EXPECT_EQ(visited, kFields);
 }
 
 // A BGC round must drive the scan kernels: objects walked via the object-map,

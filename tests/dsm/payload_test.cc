@@ -91,7 +91,7 @@ TEST(Payloads, CapturedImageInstallsOnAnotherNode) {
 
   Node& peer = cluster.node(1);
   peer.dsm().InstallObjectBytes(image.header.oid, bunch, image);
-  ASSERT_TRUE(peer.store().HasObjectAt(obj));
+  ASSERT_TRUE(peer.store().HeaderOf(obj) != nullptr);
   const ObjectHeader* installed = peer.store().HeaderOf(obj);
   EXPECT_FALSE(installed->forwarded());
   EXPECT_EQ(installed->forward, kNullAddr);

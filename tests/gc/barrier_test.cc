@@ -127,7 +127,7 @@ TEST_F(BarrierTest, SameObjectSeesThroughForwarders) {
   Gaddr a = m0_->Alloc(b, 2);
   m0_->AddRoot(a);
   cluster_->node(0).gc().CollectBunch(b);
-  Gaddr moved = cluster_->node(0).gc().Canonical(a);
+  Gaddr moved = cluster_->node(0).dsm().ResolveAddr(a);
   ASSERT_NE(moved, a);
   EXPECT_TRUE(m0_->SameObject(a, moved));
   EXPECT_FALSE(m0_->SameObject(a, kNullAddr));

@@ -92,7 +92,7 @@ TEST_F(BgcTest, LocalReferencesUpdatedWithoutTokens) {
   // target (owned) was copied; holder (not owned) merely scanned, but its
   // local copy's reference slot was updated to the new address — with zero
   // token traffic (§4.4).
-  Gaddr new_target = cluster_->node(0).gc().Canonical(target);
+  Gaddr new_target = cluster_->node(0).dsm().ResolveAddr(target);
   ASSERT_NE(new_target, target);
   Gaddr holder_local = cluster_->node(0).dsm().ResolveAddr(holder);
   EXPECT_EQ(cluster_->node(0).store().ReadSlot(holder_local, 0), new_target);
@@ -155,8 +155,8 @@ TEST_F(BgcTest, ScionKeepsObjectAliveWithoutMutatorRoot) {
   // dst has no mutator root; only the inter-bunch scion keeps it alive.
   cluster_->node(0).gc().CollectBunch(b2);
   EXPECT_EQ(cluster_->node(0).gc().stats().objects_reclaimed, 0u);
-  Gaddr dst_now = cluster_->node(0).gc().Canonical(dst);
-  EXPECT_TRUE(cluster_->node(0).store().HasObjectAt(dst_now));
+  Gaddr dst_now = cluster_->node(0).dsm().ResolveAddr(dst);
+  EXPECT_TRUE(cluster_->node(0).store().HeaderOf(dst_now) != nullptr);
 }
 
 TEST_F(BgcTest, EnteringOwnerPtrIsARoot) {
@@ -291,7 +291,8 @@ TEST_F(BgcTest, LivenessAcrossSegmentsAndWordBoundaries) {
   EXPECT_EQ(cur, kNullAddr);
   // The weak-only replica survives but reports no exiting ownerPtr, so its
   // owner registers no entering entry from node 0 (§6.2).
-  EXPECT_TRUE(cluster_->node(0).store().HasObjectAt(cluster_->node(0).gc().Canonical(weak)));
+  EXPECT_TRUE(cluster_->node(0).store().HeaderOf(cluster_->node(0).dsm().ResolveAddr(weak)) !=
+              nullptr);
   const auto& entering = cluster_->node(1).dsm().EnteringFor(b);
   EXPECT_TRUE(entering.count(weak_oid) == 0 || entering.at(weak_oid).count(0) == 0);
 }
@@ -311,7 +312,7 @@ TEST_F(BgcTest, MultipleCollectionsChainForwarders) {
   EXPECT_EQ(mutators_[0]->ReadWord(current, 1), 31u);
   mutators_[0]->Release(current);
   // Old address still resolves through the chain.
-  EXPECT_EQ(cluster_->node(0).gc().Canonical(a), cluster_->node(0).gc().Canonical(current));
+  EXPECT_EQ(cluster_->node(0).dsm().ResolveAddr(a), cluster_->node(0).dsm().ResolveAddr(current));
 }
 
 TEST_F(BgcTest, IndependentCollectionOfReplicas) {

@@ -66,7 +66,7 @@ TEST(Ggc, RootedCycleSurvivesGroupCollection) {
   cluster.node(0).gc().CollectGroup();
   EXPECT_EQ(cluster.node(0).gc().stats().objects_reclaimed, 0u);
   // Graph is intact after the moves.
-  Gaddr first = cluster.node(0).gc().Canonical(ring[0]);
+  Gaddr first = cluster.node(0).dsm().ResolveAddr(ring[0]);
   ASSERT_TRUE(m.AcquireRead(first));
   Gaddr second = m.ReadRef(first, 0);
   m.Release(first);
@@ -126,8 +126,8 @@ TEST(Ggc, CrossNodeCycleIsBeyondSingleSiteGgc) {
     cluster.Pump();
   }
   // Both halves survive (conservative: stubs originate on remote nodes).
-  EXPECT_TRUE(cluster.node(0).store().HasObjectAt(cluster.node(0).dsm().ResolveAddr(x)));
-  EXPECT_TRUE(cluster.node(1).store().HasObjectAt(cluster.node(1).dsm().ResolveAddr(y)));
+  EXPECT_TRUE(cluster.node(0).store().HeaderOf(cluster.node(0).dsm().ResolveAddr(x)) != nullptr);
+  EXPECT_TRUE(cluster.node(1).store().HeaderOf(cluster.node(1).dsm().ResolveAddr(y)) != nullptr);
 }
 
 TEST(Ggc, MixedLiveAndGarbageAcrossGroup) {
@@ -151,7 +151,7 @@ TEST(Ggc, MixedLiveAndGarbageAcrossGroup) {
   EXPECT_EQ(cluster.node(0).gc().stats().objects_reclaimed, 7u);
 
   // Live list intact.
-  Gaddr head = cluster.node(0).gc().Canonical(live_list);
+  Gaddr head = cluster.node(0).dsm().ResolveAddr(live_list);
   size_t len = 0;
   while (head != kNullAddr) {
     ASSERT_TRUE(m.AcquireRead(head));

@@ -77,7 +77,7 @@ TEST(TransferPolicy, BothPoliciesKeepTargetAlive) {
       }
     }
     Gaddr out_now = rig.cluster.node(0).dsm().ResolveAddr(rig.out);
-    EXPECT_TRUE(rig.cluster.node(0).store().HasObjectAt(out_now))
+    EXPECT_TRUE(rig.cluster.node(0).store().HeaderOf(out_now) != nullptr)
         << "policy " << static_cast<int>(policy);
   }
 }

@@ -315,19 +315,34 @@ TEST(ReplicaStore, ResolveOfUnmappedAddressIsIdentity) {
   ReplicaStore store;
   Gaddr somewhere = MakeAddr(55, 4096);
   EXPECT_EQ(store.ResolveForward(somewhere), somewhere);
-  EXPECT_FALSE(store.HasObjectAt(somewhere));
+  EXPECT_EQ(store.HeaderOf(somewhere), nullptr);
 }
 
+// HeaderOf answers only where the object-map confirms a header: past the
+// cursor, inside an object's data, at an erased object or at the segment's
+// first slot it returns nullptr, and ResolveForward stops there.
 TEST(ReplicaStore, NoObjectPastTheCursor) {
   ReplicaStore store;
   SegmentImage& img = store.GetOrCreate(4, 1);
   Gaddr a = img.Allocate(9, 2);
-  EXPECT_TRUE(store.HasObjectAt(a));
+  Gaddr erased = img.Allocate(10, 1);
+  Gaddr forwarder = img.Allocate(11, 1);
+  img.EraseObject(erased);
+  EXPECT_TRUE(store.HeaderOf(a) != nullptr);
+  // A forwarder's header stays in the object-map.
+  ObjectHeader* forwarding = store.HeaderOf(forwarder);
+  ASSERT_NE(forwarding, nullptr);
+  forwarding->flags |= kObjFlagForwarded;
+  forwarding->forward = a;
+  EXPECT_EQ(store.HeaderOf(forwarder), forwarding);
+  EXPECT_EQ(store.ResolveForward(forwarder), a);
   const Gaddr next = MakeAddr(4, img.allocated_bytes() + kHeaderBytes);
   const Gaddr last = MakeAddr(4, kSegmentBytes - kSlotBytes);
-  for (Gaddr past : {next, last}) {
-    EXPECT_FALSE(store.HasObjectAt(past));
-    EXPECT_EQ(store.ResolveForward(past), past);
+  const Gaddr inside = a + kSlotBytes;
+  const Gaddr first = MakeAddr(4, 0);
+  for (Gaddr none : {next, last, inside, erased, first}) {
+    EXPECT_EQ(store.HeaderOf(none), nullptr);
+    EXPECT_EQ(store.ResolveForward(none), none);
   }
 }
 

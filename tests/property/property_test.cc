@@ -186,7 +186,7 @@ TEST_P(InvariantTest, StubsScionsAndMapsStayConsistent) {
     Mutator& m = owner_node == 0 ? m0 : m1;
     Node& node = cluster.node(owner_node);
     Gaddr local = node.dsm().ResolveAddr(src);
-    if (!node.store().HasObjectAt(local)) {
+    if (node.store().HeaderOf(local) == nullptr) {
       continue;
     }
     m.WriteRef(src, rng.Below(2), dst);

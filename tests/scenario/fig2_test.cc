@@ -111,7 +111,7 @@ TEST_F(Fig2, Section45ReclaimFreesTheFromSpace) {
   }
   // Everything still reachable and correct on both nodes.
   Gaddr o1_now = cluster_->node(1).dsm().ResolveAddr(o1_);
-  ASSERT_TRUE(cluster_->node(1).store().HasObjectAt(o1_now));
+  ASSERT_TRUE(cluster_->node(1).store().HeaderOf(o1_now) != nullptr);
   EXPECT_EQ(n1_->ReadWord(o2_, 1), 22u);
 }
 

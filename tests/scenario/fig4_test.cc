@@ -62,7 +62,7 @@ TEST_F(Fig4, ConfigurationMatchesTheFigure) {
   // O1 cached on all three nodes.
   for (NodeId n = 0; n < 3; ++n) {
     EXPECT_TRUE(
-        cluster_->node(n).store().HasObjectAt(cluster_->node(n).dsm().ResolveAddr(o1_)));
+        cluster_->node(n).store().HeaderOf(cluster_->node(n).dsm().ResolveAddr(o1_)) != nullptr);
   }
   // N2 owns; N3's ownerPtr exits toward N2; intra SSP N2 (stub) → N3 (scion).
   EXPECT_TRUE(cluster_->node(1).dsm().IsLocallyOwned(oid_));

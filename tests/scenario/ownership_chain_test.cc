@@ -71,7 +71,7 @@ TEST_F(OwnershipChain, ChainKeepsStubHolderAliveThroughCollections) {
   }
   for (int n = 0; n < 4; ++n) {
     Gaddr local = cluster_->node(n).dsm().LocalCopyOf(obj_);
-    EXPECT_TRUE(cluster_->node(n).store().HasObjectAt(local)) << "node " << n;
+    EXPECT_TRUE(cluster_->node(n).store().HeaderOf(local) != nullptr) << "node " << n;
   }
   // And the inter-bunch target is still protected.
   cluster_->node(0).gc().CollectBunch(other_);
